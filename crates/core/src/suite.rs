@@ -14,9 +14,8 @@ use smartwatch_detect::slowloris::SlowlorisDetector;
 use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_detect::Alert;
 use smartwatch_host::{ArtefactRegistry, AuthHeuristic, AuthOutcome, ConnEvent, ConnTable};
-use smartwatch_net::{Dur, FlowKey, Packet, Ts};
+use smartwatch_net::{Dur, FlowKey, KeyedHashSet, Packet, Ts};
 use smartwatch_snic::FlowRecord;
-use std::collections::HashSet;
 
 /// Where a packet finished processing (for tier accounting).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,7 +83,7 @@ pub struct DetectorSuite {
     conns: ConnTable,
     heuristic: AuthHeuristic,
     /// Auth sessions already classified (no further host escalation).
-    classified: HashSet<FlowKey>,
+    classified: KeyedHashSet<FlowKey>,
     /// Data-path operation counters (Table 2 accounting).
     pub ops: SuiteOps,
 }
@@ -104,7 +103,7 @@ impl DetectorSuite {
             krb: None,
             conns: ConnTable::new(),
             heuristic: AuthHeuristic::default(),
-            classified: HashSet::new(),
+            classified: KeyedHashSet::default(),
             ops: SuiteOps::default(),
         }
     }

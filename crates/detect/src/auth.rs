@@ -10,8 +10,8 @@
 
 use crate::{Alert, Subject};
 use smartwatch_host::AuthOutcome;
-use smartwatch_net::{AttackKind, Dur, Ts};
-use std::collections::{HashMap, HashSet, VecDeque};
+use smartwatch_net::{AttackKind, Dur, KeyedHashMap, KeyedHashSet, Ts};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// Sliding-window failed-login detector for SSH (port 22) or FTP (21).
@@ -23,8 +23,8 @@ pub struct BruteforceDetector {
     pub threshold: u32,
     /// Sliding window length.
     pub window: Dur,
-    failures: HashMap<Ipv4Addr, VecDeque<Ts>>,
-    alerted: HashSet<Ipv4Addr>,
+    failures: KeyedHashMap<Ipv4Addr, VecDeque<Ts>>,
+    alerted: KeyedHashSet<Ipv4Addr>,
 }
 
 impl BruteforceDetector {
@@ -34,8 +34,8 @@ impl BruteforceDetector {
             kind: AttackKind::SshBruteforce,
             threshold: 3,
             window: Dur::from_secs(30 * 60),
-            failures: HashMap::new(),
-            alerted: HashSet::new(),
+            failures: KeyedHashMap::default(),
+            alerted: KeyedHashSet::default(),
         }
     }
 
@@ -89,7 +89,7 @@ pub struct CertExpiryMonitor {
     /// Alert horizon (Zeek default: 30 days).
     pub horizon: Dur,
     registry: smartwatch_host::ArtefactRegistry,
-    seen: HashSet<u64>,
+    seen: KeyedHashSet<u64>,
 }
 
 impl CertExpiryMonitor {
@@ -98,7 +98,7 @@ impl CertExpiryMonitor {
         CertExpiryMonitor {
             horizon,
             registry,
-            seen: HashSet::new(),
+            seen: KeyedHashSet::default(),
         }
     }
 
@@ -126,7 +126,7 @@ pub struct KerberosMonitor {
     /// Maximum legitimate ticket lifetime (default 10 h).
     pub max_lifetime: Dur,
     registry: smartwatch_host::ArtefactRegistry,
-    seen: HashSet<u64>,
+    seen: KeyedHashSet<u64>,
 }
 
 impl KerberosMonitor {
@@ -135,7 +135,7 @@ impl KerberosMonitor {
         KerberosMonitor {
             max_lifetime,
             registry,
-            seen: HashSet::new(),
+            seen: KeyedHashSet::default(),
         }
     }
 

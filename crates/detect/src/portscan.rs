@@ -13,17 +13,16 @@
 use crate::stats::{Trw, TrwVerdict};
 use crate::{Alert, Subject};
 use smartwatch_host::{ConnEvent, ConnTable};
-use smartwatch_net::{AttackKind, Dur, Packet, Ts};
-use std::collections::{HashMap, HashSet};
+use smartwatch_net::{AttackKind, Dur, KeyedHashMap, KeyedHashSet, Packet, Ts};
 use std::net::Ipv4Addr;
 
 /// Per-remote TRW port-scan detector.
 #[derive(Clone, Debug, Default)]
 pub struct PortscanDetector {
-    walks: HashMap<Ipv4Addr, Trw>,
-    alerted: HashSet<Ipv4Addr>,
+    walks: KeyedHashMap<Ipv4Addr, Trw>,
+    alerted: KeyedHashSet<Ipv4Addr>,
     /// Distinct destinations probed per source (context for alerts).
-    probed: HashMap<Ipv4Addr, HashSet<(Ipv4Addr, u16)>>,
+    probed: KeyedHashMap<Ipv4Addr, KeyedHashSet<(Ipv4Addr, u16)>>,
 }
 
 impl PortscanDetector {
@@ -184,8 +183,8 @@ fn originator_view(rec: &smartwatch_host::ConnRecord) -> (Ipv4Addr, Ipv4Addr, u1
 pub struct IncompleteFlowDetector {
     /// Incomplete connections per source that trigger an alert.
     pub threshold: u32,
-    counts: HashMap<Ipv4Addr, u32>,
-    alerted: HashSet<Ipv4Addr>,
+    counts: KeyedHashMap<Ipv4Addr, u32>,
+    alerted: KeyedHashSet<Ipv4Addr>,
 }
 
 impl IncompleteFlowDetector {
@@ -193,8 +192,8 @@ impl IncompleteFlowDetector {
     pub fn new(threshold: u32) -> IncompleteFlowDetector {
         IncompleteFlowDetector {
             threshold,
-            counts: HashMap::new(),
-            alerted: HashSet::new(),
+            counts: KeyedHashMap::default(),
+            alerted: KeyedHashSet::default(),
         }
     }
 

@@ -9,16 +9,15 @@
 //! for the signature check.
 
 use crate::{Alert, Subject};
-use smartwatch_net::{AttackKind, Packet};
-use std::collections::{HashMap, HashSet};
+use smartwatch_net::{AttackKind, KeyedHashMap, KeyedHashSet, Packet};
 use std::net::Ipv4Addr;
 
 /// Per-digest sighting state.
 #[derive(Clone, Debug, Default)]
 struct Sighting {
     count: u64,
-    sources: HashSet<Ipv4Addr>,
-    destinations: HashSet<Ipv4Addr>,
+    sources: KeyedHashSet<Ipv4Addr>,
+    destinations: KeyedHashSet<Ipv4Addr>,
 }
 
 /// EarlyBird-style worm detector.
@@ -30,8 +29,8 @@ pub struct EarlyBirdDetector {
     pub src_dispersion: usize,
     /// Distinct destinations required.
     pub dst_dispersion: usize,
-    sightings: HashMap<u64, Sighting>,
-    alerted: HashSet<u64>,
+    sightings: KeyedHashMap<u64, Sighting>,
+    alerted: KeyedHashSet<u64>,
 }
 
 impl EarlyBirdDetector {
@@ -42,8 +41,8 @@ impl EarlyBirdDetector {
             prevalence,
             src_dispersion,
             dst_dispersion,
-            sightings: HashMap::new(),
-            alerted: HashSet::new(),
+            sightings: KeyedHashMap::default(),
+            alerted: KeyedHashSet::default(),
         }
     }
 

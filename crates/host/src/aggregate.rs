@@ -113,7 +113,9 @@ impl SnapshotAggregator {
 
     /// Flows with at least `threshold` packets, heaviest first (the
     /// offline heavy-hitter query of Table 2, and the top-k heavy *benign*
-    /// flow selection the control loop whitelists).
+    /// flow selection the control loop whitelists). Equal packet counts
+    /// are ordered by flow key, so the result does not depend on the
+    /// table's iteration order.
     pub fn heavy_hitters(&self, threshold: u64) -> Vec<FlowRecord> {
         let mut out: Vec<FlowRecord> = self
             .flows
@@ -121,14 +123,14 @@ impl SnapshotAggregator {
             .filter(|r| r.packets >= threshold)
             .copied()
             .collect();
-        out.sort_by_key(|r| std::cmp::Reverse(r.packets));
+        out.sort_by_key(heaviest_first);
         out
     }
 
-    /// The `k` heaviest flows.
+    /// The `k` heaviest flows; ties at the cut go to the smaller flow key.
     pub fn top_k(&self, k: usize) -> Vec<FlowRecord> {
         let mut out: Vec<FlowRecord> = self.flows.values().copied().collect();
-        out.sort_by_key(|r| std::cmp::Reverse(r.packets));
+        out.sort_by_key(heaviest_first);
         out.truncate(k);
         out
     }
@@ -145,6 +147,11 @@ impl SnapshotAggregator {
         }
         out
     }
+}
+
+/// Sort key for the heavy-flow queries: packets descending, then flow key.
+fn heaviest_first(r: &FlowRecord) -> (std::cmp::Reverse<u64>, FlowKey) {
+    (std::cmp::Reverse(r.packets), r.key)
 }
 
 #[cfg(test)]
@@ -211,6 +218,33 @@ mod tests {
         assert!(hh.windows(2).all(|w| w[0].packets >= w[1].packets));
         assert_eq!(agg.top_k(3).len(), 3);
         assert_eq!(agg.top_k(3)[0].packets, 90);
+    }
+
+    #[test]
+    fn top_k_breaks_ties_by_flow_key() {
+        // Twelve flows, eight of them tied at the cut of the top 5.
+        let recs: Vec<FlowRecord> = (0..12)
+            .map(|i| rec(i, if i < 2 { 100 } else { 40 }, 0, 1))
+            .collect();
+        let fill = |order: &mut dyn Iterator<Item = &FlowRecord>| {
+            let mut agg = SnapshotAggregator::new();
+            for r in order {
+                agg.ingest(*r);
+            }
+            agg
+        };
+        let fwd = fill(&mut recs.iter());
+        let rev = fill(&mut recs.iter().rev());
+        let keys = |v: Vec<FlowRecord>| v.into_iter().map(|r| r.key).collect::<Vec<_>>();
+        let top = keys(fwd.top_k(5));
+        assert_eq!(top, keys(rev.top_k(5)));
+        let mut expected: Vec<FlowKey> = recs[..2].iter().map(|r| r.key).collect();
+        let mut tied: Vec<FlowKey> = recs[2..].iter().map(|r| r.key).collect();
+        tied.sort();
+        expected.sort();
+        expected.extend(&tied[..3]);
+        assert_eq!(top, expected);
+        assert_eq!(keys(fwd.heavy_hitters(40)), keys(rev.heavy_hitters(40)));
     }
 
     #[test]

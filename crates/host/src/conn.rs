@@ -6,8 +6,7 @@
 //! Zeek's `conn_state` vocabulary, which the paper's detectors are written
 //! against.
 
-use smartwatch_net::{Dur, FlowKey, Packet, Ts};
-use std::collections::HashMap;
+use smartwatch_net::{Dur, FlowKey, KeyedHashMap, Packet, Ts};
 
 /// Connection states, after Zeek's `conn_state`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -94,7 +93,7 @@ impl ConnRecord {
 /// The connection table: feeds packets, emits classification events.
 #[derive(Clone, Debug, Default)]
 pub struct ConnTable {
-    conns: HashMap<FlowKey, ConnRecord>,
+    conns: KeyedHashMap<FlowKey, ConnRecord>,
 }
 
 impl ConnTable {

@@ -16,10 +16,17 @@
 //! The mixer is a xxhash/murmur-style 64-bit finalizer over the packed
 //! 13-byte 5-tuple. It is not cryptographic — neither is the hardware CRC
 //! the Netronome uses — but it passes avalanche sanity tests (see below).
+//!
+//! Separately, [`KeyedHashMap`]/[`KeyedHashSet`] are the std collections
+//! the detectors and host tables key by packet fields (addresses, flow
+//! keys, payload digests): a per-map randomly keyed Fx-style hasher,
+//! cheaper than std's SipHash per probe while still denying an attacker
+//! precomputed bucket collisions.
 
 use crate::key::{FlowKey, RawTuple};
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// A 64-bit flow hash digest with the splitting accessors used by the
 /// FlowCache (Algorithm 1).
@@ -359,6 +366,123 @@ pub type BuildDigestHasher = BuildHasherDefault<DigestHasher>;
 /// structure used by the runtime shards' black/whitelists.
 pub type DigestSet = HashSet<u64, BuildDigestHasher>;
 
+/// Multiplier of [`KeyedFxHasher`]'s rounds: rustc-hash v2's odd
+/// constant, chosen for an even spread of bits in the product.
+const FX_K: u64 = 0xf135_7aea_2e62_a9c5;
+
+/// A keyed Fx-style `Hasher` for tables whose keys an attacker chooses:
+/// addresses, ports, flow keys and payload digests taken from packets.
+///
+/// Each round folds at most 32 bits of input into the state by
+/// rotate-xor-multiply. [`Hasher::finish`] rotates left by 26, as
+/// rustc-hash v2 does, which brings the product's best-mixed middle bits
+/// down into the low bits hashbrown indexes buckets with. A multiply only
+/// carries bits upwards, so the top bits of a full 64-bit word would
+/// never reach that bucket index, whatever the key; 64-bit writes
+/// therefore take two rounds. The state starts at a per-map random key
+/// ([`BuildKeyedFxHasher`]), so which keys share a bucket differs from
+/// map to map and from run to run and cannot be precomputed — the
+/// property std's SipHash gives, at a few cycles per round instead of a
+/// SipHash compression per probe. It is not a cryptographic MAC: an
+/// attacker who can time many probes of one table may still learn
+/// collisions adaptively.
+#[derive(Clone, Copy, Debug)]
+pub struct KeyedFxHasher {
+    hash: u64,
+}
+
+impl KeyedFxHasher {
+    #[inline]
+    fn round(&mut self, word: u32) {
+        self.hash = (self.hash.rotate_left(5) ^ u64::from(word)).wrapping_mul(FX_K);
+    }
+}
+
+impl Hasher for KeyedFxHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(4);
+        for w in &mut words {
+            self.round(u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 4];
+            w[..tail.len()].copy_from_slice(tail);
+            self.round(u32::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.round(u32::from(v));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.round(u32::from(v));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.round(v);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.round(v as u32);
+        self.round((v >> 32) as u32);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, v: u128) {
+        self.write_u64(v as u64);
+        self.write_u64((v >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
+/// `BuildHasher` for [`KeyedFxHasher`]: every instance draws its own
+/// random key from std's [`RandomState`], so two maps (and two runs)
+/// never share a bucket layout.
+#[derive(Clone, Copy, Debug)]
+pub struct BuildKeyedFxHasher {
+    key: u64,
+}
+
+impl Default for BuildKeyedFxHasher {
+    fn default() -> BuildKeyedFxHasher {
+        BuildKeyedFxHasher {
+            key: RandomState::new().hash_one(FX_K),
+        }
+    }
+}
+
+impl BuildHasher for BuildKeyedFxHasher {
+    type Hasher = KeyedFxHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> KeyedFxHasher {
+        KeyedFxHasher { hash: self.key }
+    }
+}
+
+/// A `HashMap` over [`KeyedFxHasher`]: the table type for state keyed by
+/// packet-derived fields. Build it with `KeyedHashMap::default()`.
+pub type KeyedHashMap<K, V> = HashMap<K, V, BuildKeyedFxHasher>;
+
+/// A `HashSet` over [`KeyedFxHasher`]; see [`KeyedHashMap`].
+pub type KeyedHashSet<K> = HashSet<K, BuildKeyedFxHasher>;
+
 /// A TTL'd, capacity-bounded digest set for long-lived black/whitelists.
 ///
 /// The plain [`DigestSet`] accumulates forever — fine for a one-shot
@@ -377,7 +501,7 @@ pub type DigestSet = HashSet<u64, BuildDigestHasher>;
 /// counts — so aging stays deterministic for deterministic inputs.
 #[derive(Clone, Debug)]
 pub struct AgingDigestSet {
-    map: std::collections::HashMap<u64, u64, BuildDigestHasher>,
+    map: HashMap<u64, u64, BuildDigestHasher>,
     capacity: usize,
     ttl: u64,
     expired: u64,
@@ -390,7 +514,7 @@ impl AgingDigestSet {
     pub fn new(capacity: usize, ttl: u64) -> AgingDigestSet {
         assert!(capacity >= 1, "aging set needs capacity >= 1");
         AgingDigestSet {
-            map: std::collections::HashMap::default(),
+            map: HashMap::default(),
             capacity,
             ttl,
             expired: 0,
@@ -826,6 +950,82 @@ mod tests {
         assert_eq!(set.len(), 1);
         assert_eq!(set.sweep(9), 0, "refreshed entry is inside TTL");
         assert!(set.contains(&42));
+    }
+
+    #[test]
+    fn keyed_hasher_draws_a_fresh_key_per_map() {
+        let a: KeyedHashSet<FlowKey> = KeyedHashSet::default();
+        let b: KeyedHashSet<FlowKey> = KeyedHashSet::default();
+        assert_ne!(a.hasher().key, b.hasher().key);
+        let k = key(0x0A00_0001, 40000, 0xAC10_0001, 80);
+        assert_ne!(a.hasher().hash_one(k), b.hasher().hash_one(k));
+        // The same `BuildKeyedFxHasher` hashes consistently.
+        assert_eq!(a.hasher().hash_one(k), a.hasher().hash_one(k));
+    }
+
+    /// Largest number of `keys` landing in one of 4,096 buckets indexed
+    /// by the hash's low bits, as hashbrown indexes them.
+    fn max_bucket_load<K: std::hash::Hash>(build: &BuildKeyedFxHasher, keys: &[K]) -> usize {
+        let mut load = vec![0usize; 4096];
+        for k in keys {
+            load[(build.hash_one(k) & 4095) as usize] += 1;
+        }
+        load.into_iter().max().unwrap()
+    }
+
+    #[test]
+    fn keyed_hasher_spreads_low_bits_over_structured_keys() {
+        let base = key(0x0A00_0001, 0, 0xAC10_0001, 443);
+        let by_port: Vec<FlowKey> = (0..=u16::MAX)
+            .map(|p| FlowKey {
+                src_port: p,
+                ..base
+            })
+            .collect();
+        // 256 keys differing only in the top octet of the source address.
+        let by_octet: Vec<FlowKey> = (0..=255u32)
+            .map(|o| FlowKey {
+                src_ip: Ipv4Addr::from(0x000A_0B0C | (o << 24)),
+                ..base
+            })
+            .collect();
+        // 65,536 host addresses differing only in their low two octets,
+        // which the last round takes in the top half of its word: without
+        // the rotating finisher they would all share one bucket.
+        let by_host: Vec<Ipv4Addr> = (0..=u16::MAX)
+            .map(|h| Ipv4Addr::from(0x0A00_0000 | u32::from(h)))
+            .collect();
+        for _ in 0..8 {
+            let build = BuildKeyedFxHasher::default();
+            // 65,536 keys over 4,096 buckets: 16 per bucket on average; a
+            // uniform hash tops out in the low 30s.
+            let port_max = max_bucket_load(&build, &by_port);
+            assert!(port_max <= 48, "src_port sweep: max load {port_max}");
+            let host_max = max_bucket_load(&build, &by_host);
+            assert!(host_max <= 48, "address sweep: max load {host_max}");
+            let octet_max = max_bucket_load(&build, &by_octet);
+            assert!(octet_max <= 8, "top-octet sweep: max load {octet_max}");
+        }
+    }
+
+    #[test]
+    fn keyed_hasher_separates_every_word_bit() {
+        // Each round takes at most 32 bits, so flipping any one bit of a
+        // 64-bit key changes the bucket-index bits under most keys.
+        for bit in 0..64 {
+            let mut moved = 0;
+            for _ in 0..16 {
+                let build = BuildKeyedFxHasher::default();
+                let v = 0x0123_4567_89AB_CDEFu64;
+                if (build.hash_one(v) ^ build.hash_one(v ^ (1 << bit))) & 4095 != 0 {
+                    moved += 1;
+                }
+            }
+            assert!(
+                moved >= 12,
+                "bit {bit} moved the bucket under {moved}/16 keys"
+            );
+        }
     }
 
     #[test]

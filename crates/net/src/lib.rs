@@ -46,8 +46,8 @@ pub mod wire;
 
 pub use frame::{FrameMeta, FrameStore};
 pub use hash::{
-    shard_for, shard_for_digest, AgingDigestSet, BuildDigestHasher, DigestSet, FlowHasher,
-    HashDigest,
+    shard_for, shard_for_digest, AgingDigestSet, BuildDigestHasher, BuildKeyedFxHasher, DigestSet,
+    FlowHasher, HashDigest, KeyedHashMap, KeyedHashSet,
 };
 pub use key::{fold_ip, FlowKey, Proto, RawTuple};
 pub use label::{AttackKind, Label};

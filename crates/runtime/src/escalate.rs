@@ -12,9 +12,8 @@
 use crate::control::ControlLog;
 use crate::obs::TraceSpec;
 use smartwatch_host::{HostNf, Verdict};
-use smartwatch_net::{FlowKey, Packet};
+use smartwatch_net::{FlowKey, KeyedHashMap, KeyedHashSet, Packet};
 use smartwatch_telemetry::{Counter, Histogram};
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::mpsc::{sync_channel, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -31,8 +30,8 @@ use std::time::Instant;
 /// escalate→verdict→enforce round trip, not the verdict logic.
 pub struct TriageNf {
     threshold: u64,
-    seen: HashMap<Ipv4Addr, u64>,
-    issued: HashSet<FlowKey>,
+    seen: KeyedHashMap<Ipv4Addr, u64>,
+    issued: KeyedHashSet<FlowKey>,
 }
 
 impl TriageNf {
@@ -40,8 +39,8 @@ impl TriageNf {
     pub fn new(threshold: u64) -> TriageNf {
         TriageNf {
             threshold: threshold.max(1),
-            seen: HashMap::new(),
-            issued: HashSet::new(),
+            seen: KeyedHashMap::default(),
+            issued: KeyedHashSet::default(),
         }
     }
 }

@@ -52,11 +52,14 @@ mod tests {
             return;
         }
         let before = rss_bytes();
-        // Touch 16 MiB so the pages are actually resident.
+        // Touch 16 MiB so the pages are actually resident. The buffer is
+        // never read, so `black_box` keeps the optimiser from dropping the
+        // writes (and with them the resident pages).
         let mut big = vec![0u8; 16 << 20];
         for i in (0..big.len()).step_by(4096) {
             big[i] = i as u8;
         }
+        let big = std::hint::black_box(big);
         let after = rss_bytes();
         assert!(
             after >= before + (8 << 20),
