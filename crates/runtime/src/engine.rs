@@ -1,6 +1,9 @@
-//! The engine: R RX-queue dispatchers feeding N shard threads over an
-//! R×N mesh of bounded SPSC lanes, a host escalation pool, graceful
-//! drain, and a wall-clock throughput/latency report.
+//! The engine: two thread topologies over one ingest front end and one
+//! run skeleton, a host escalation pool, graceful drain, and a
+//! wall-clock throughput/latency report.
+//!
+//! [`DatapathMode::Pipeline`] runs R RX-queue dispatchers feeding N
+//! shard threads over an R×N mesh of bounded SPSC lanes:
 //!
 //! ```text
 //!            ┌ rxq 0: digest+steer ┐   ┌─ shard 0: FlowCache + suite ─┐
@@ -15,6 +18,19 @@
 //! each dispatcher owns complete flows and intra-flow order survives.
 //! Every (queue, shard) pair gets its own single-producer ring; shards
 //! merge their R lanes under a [`MergePolicy`].
+//!
+//! [`DatapathMode::Rtc`] fuses ingest and shard into one `sw-core-{i}`
+//! thread per partition, pre-split by the shard mapping itself, and
+//! processes each batch in place with no queue crossing.
+//!
+//! Both topologies drive the same ingest front end (`Ingest`): bursts
+//! of up to eight digested packets from either [`FrameSource`], one
+//! 256-packet checkpoint (drain, pacing, steering refresh, counter
+//! fold, trace sampling) and one steering filter. Each topology only
+//! supplies a sink (`LaneSink` or `CoreSink`): where a surviving packet
+//! goes, how a paced wait idles, and how the stream ends. One run
+//! skeleton ([`Engine::run_source`]) sets up, tears down and reports
+//! for both.
 //!
 //! Unlike everything else in the workspace, this engine runs on the
 //! *wall clock*: `run()` spawns real OS threads, measures elapsed time
@@ -41,7 +57,7 @@ use smartwatch_control::{
     SnapshotCell, SnapshotReader, SteeringSnapshot,
 };
 use smartwatch_net::hash::{queue_for_digest, shard_for_digest, splitmix64};
-use smartwatch_net::{FlowHasher, FrameStore, FrameView, Packet, RawTuple};
+use smartwatch_net::{FlowHasher, FrameStore, FrameView, HashDigest, Packet, RawTuple};
 use smartwatch_snic::{FlowCache, FlowCacheConfig, Mode};
 use smartwatch_telemetry::{
     mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, HistSnapshot, Registry, Tracer,
@@ -90,12 +106,13 @@ pub struct EngineConfig {
     /// `rx_queues` is ignored — the ingest unit count *is* the shard
     /// count.
     pub datapath: DatapathMode,
-    /// Pin engine worker threads to CPUs (thread index = core index):
-    /// RTC cores, and pipeline shard threads, call
-    /// `sched_setaffinity` at startup. Opt-in and best-effort — a
-    /// rejected mask (cpuset container, non-Linux build) leaves the
-    /// thread unpinned and the run proceeds. Decisions and counters
-    /// are identical either way; only scheduler placement changes.
+    /// Pin each RTC core to the CPU of its index: `sw-core-{i}` calls
+    /// `sched_setaffinity` at startup. Only [`DatapathMode::Rtc`]
+    /// pins; pipeline threads are left to the scheduler. Opt-in and
+    /// best-effort — a rejected mask (cpuset container, non-Linux
+    /// build) leaves the thread unpinned and the run proceeds.
+    /// Decisions and counters are identical either way; only scheduler
+    /// placement changes.
     pub pin_cores: bool,
     /// RX-queue dispatcher threads (the multi-queue NIC model). Each
     /// owns a digest-split sub-stream of the offered trace, its own
@@ -222,8 +239,9 @@ impl EngineConfig {
 /// How the replay driver offers packets to the engine.
 #[derive(Clone, Copy, Debug)]
 pub enum Pace {
-    /// As fast as the shards accept: a full queue exerts backpressure on
-    /// the dispatcher (no drops). Measures pipeline capacity.
+    /// As fast as the shards accept: a full lane exerts backpressure on
+    /// the dispatcher, and a fused core simply runs flat out (no drops
+    /// either way). Measures capacity.
     Flatout,
     /// Open-loop at a target offered rate in Mpps: a full queue at
     /// arrival time is a counted drop, like a NIC RX ring overrun.
@@ -253,9 +271,10 @@ pub enum Pace {
 pub enum FrameSource<'a> {
     /// Generator output replayed as owned [`Packet`] values.
     Packets(&'a [Packet]),
-    /// Compiled or captured wire frames ([`FrameStore`]): dispatchers
-    /// load raw bytes into a [`FramePool`], parse headers in place with
-    /// [`FrameView`] and digest straight from the header bytes.
+    /// Compiled or captured wire frames ([`FrameStore`]): each ingest
+    /// unit loads raw bytes into a [`FramePool`], parses headers in
+    /// place with [`FrameView`] and digests straight from the header
+    /// bytes.
     Wire(&'a FrameStore),
 }
 
@@ -298,8 +317,9 @@ pub struct Engine {
     /// Controller decision audit mirrored out of the control thread so
     /// live readers (`/stats.json`) can see it mid-run.
     decisions: Arc<Mutex<VecDeque<DecisionRecord>>>,
-    /// Graceful-drain request: dispatchers observe it at checkpoints,
-    /// stop offering and quiesce the mesh (see [`Engine::request_drain`]).
+    /// Graceful-drain request: ingest units observe it at checkpoints
+    /// and during paced waits, stop offering and quiesce (see
+    /// [`Engine::request_drain`]).
     drain: Arc<AtomicBool>,
     /// Admin command mailbox, drained by the controller each epoch.
     admin: Arc<AdminQueue>,
@@ -307,7 +327,7 @@ pub struct Engine {
     /// engine, across runs).
     admin_applied: Counter,
     /// Live pacing override: `f64::to_bits` of the inter-arrival gap in
-    /// ns, `0` = none. Paced dispatchers re-read it at checkpoints.
+    /// ns, `0` = none. Paced ingest units re-read it at checkpoints.
     pace_override: Arc<AtomicU64>,
     /// Resident-set gauge (`runtime.mem.rss_bytes`), sampled per epoch
     /// by the controller thread and at run boundaries.
@@ -348,13 +368,16 @@ impl Engine {
         &self.cfg
     }
 
-    /// Ask the current run to drain gracefully: dispatchers observe the
-    /// flag at their 256-packet checkpoints, stop offering, flush their
-    /// staged batches and send the normal `Stop` markers, so the mesh
-    /// quiesces exactly as at end-of-trace and the segment report stays
-    /// conserved (`offered` reflects what was actually offered before
-    /// the drain). The flag stays raised until [`Engine::clear_drain`] —
-    /// a signal landing *between* segments still stops the next one.
+    /// Ask the current run to drain gracefully. Every ingest unit — a
+    /// pipeline dispatcher or an RTC core — observes the flag at its
+    /// 256-packet checkpoints and between the bounded slices of a paced
+    /// wait, stops offering and closes its stream exactly as at
+    /// end-of-trace: a dispatcher flushes its staged batches and sends
+    /// the normal `Stop` markers, a core processes its staged tail. The
+    /// segment report stays conserved (`offered` reflects what was
+    /// actually offered before the drain). The flag stays raised until
+    /// [`Engine::clear_drain`] — a signal landing *between* segments
+    /// still stops the next one.
     pub fn request_drain(&self) {
         self.drain.store(true, Ordering::Release);
     }
@@ -389,10 +412,10 @@ impl Engine {
         self.admin_applied.get()
     }
 
-    /// Override the offered rate of *paced* runs live: dispatchers
-    /// re-read this at every 256-packet checkpoint and re-anchor their
-    /// arrival schedule, so the change takes effect mid-segment without
-    /// a restart. `None` returns pacing to the run's [`Pace`] plan.
+    /// Override the offered rate of *paced* runs live: every ingest
+    /// unit (dispatcher or RTC core) re-reads this at each 256-packet
+    /// checkpoint and re-anchors its arrival schedule, so the change
+    /// takes effect mid-segment without a restart. `None` returns pacing to the run's [`Pace`] plan.
     /// Flat-out runs (no arrival schedule) ignore the override.
     pub fn set_rate_override(&self, mpps: Option<f64>) {
         let bits = match mpps {
@@ -415,8 +438,9 @@ impl Engine {
 
     /// Attach a chrome-trace sink. Spans are emitted only when
     /// [`EngineConfig::trace_sample`] is non-zero; each engine thread
-    /// opens its own track (`sw-rxq-{q}`, `sw-shard-{i}`,
-    /// `sw-host-{w}`, `sw-control`) named after the OS thread.
+    /// opens its own track (`sw-rxq-{q}` and `sw-shard-{i}` in pipeline
+    /// mode, `sw-core-{i}` in RTC mode, plus `sw-host-{w}` and
+    /// `sw-control`) named after the OS thread.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = Some(tracer.clone());
     }
@@ -441,7 +465,7 @@ impl Engine {
     /// The live `/stats.json` document: [`EngineReport`]-shaped counters
     /// read straight from the registry atomics, so it is safe to call
     /// from any thread at any time. Mid-run, values are at most one
-    /// checkpoint (dispatchers) or one batch (shards) stale; after
+    /// checkpoint (ingest units) or one batch (shards) stale; after
     /// `run()` returns, the conservation counters match the final
     /// report exactly.
     pub fn stats_json(&self) -> String {
@@ -609,35 +633,41 @@ impl Engine {
         serde::json::write(&doc, false)
     }
 
-    /// Replay `packets` through the full pipeline and block until every
-    /// queue is drained and every thread joined.
+    /// Replay `packets` through the engine and block until every ingest
+    /// unit has drained and every thread joined.
     pub fn run(&self, packets: &[Packet], pace: Pace) -> EngineReport {
         self.run_source(FrameSource::Packets(packets), pace)
     }
 
-    /// Replay a packed wire-frame store through the full pipeline — the
-    /// zero-copy wire path. Each dispatcher owns a [`FramePool`] (the
+    /// Replay a packed wire-frame store through the engine — the
+    /// zero-copy wire path. Each ingest unit owns a [`FramePool`] (the
     /// software RX ring): it loads 8-frame bursts into pooled slots,
     /// parses the Ethernet/IPv4/transport headers in place with
     /// [`FrameView`], digests straight from the header bytes
     /// ([`FlowHasher::digest_batch8`]) and recycles the slots —
-    /// allocation-free in steady state. With the ordered merge the
-    /// resulting [`EngineReport::deterministic_summary`] is
-    /// byte-identical to the synthetic run of the same packets.
+    /// allocation-free in steady state. With the ordered merge (or the
+    /// RTC datapath) the resulting
+    /// [`EngineReport::deterministic_summary`] is byte-identical to the
+    /// synthetic run of the same packets.
     pub fn run_frames(&self, store: &FrameStore, pace: Pace) -> EngineReport {
         self.run_source(FrameSource::Wire(store), pace)
     }
 
-    /// Replay any [`FrameSource`] and block until every queue is
+    /// Replay any [`FrameSource`] and block until every ingest unit has
     /// drained and every thread joined. [`Engine::run`] and
     /// [`Engine::run_frames`] are thin wrappers over this.
+    ///
+    /// Both datapaths share this one skeleton: the prologue (log, stage
+    /// histograms, trace spec, host pool, counters and baselines, garage
+    /// un-park, control plane), the shard workers, the ingest front
+    /// ends, and the epilogue (host-pool shutdown, controller stop,
+    /// garage re-park, report, flight close-out). Only building and
+    /// spawning the threads differs per [`DatapathMode`].
     pub fn run_source(&self, source: FrameSource<'_>, pace: Pace) -> EngineReport {
-        if self.cfg.datapath == DatapathMode::Rtc {
-            return self.run_rtc(source, pace);
-        }
         let cfg = &self.cfg;
         let n = cfg.shards;
-        let r = cfg.rx_queues;
+        let units = cfg.ingest_units();
+        let rtc = cfg.datapath == DatapathMode::Rtc;
         assert!(
             source.len() <= u32::MAX as usize,
             "sequence indices are u32 at split time"
@@ -679,19 +709,20 @@ impl Engine {
             )
         });
 
-        // The one hasher of the hot path: each dispatcher digests every
+        // The one hasher of the hot path: each ingest unit digests every
         // packet of its sub-stream exactly once with it; shards and
         // their FlowCaches (all seeded identically) reuse the digest
         // instead of re-hashing.
         let hasher = FlowHasher::new(cfg.hash_seed);
 
         // Per-shard counters exist before both the control plane (which
-        // samples them) and the shard threads (which write them).
+        // samples them) and the worker threads (which write them).
         let counters: Vec<ShardCounters> = (0..n)
             .map(|i| ShardCounters::registered(&self.registry, i))
             .collect();
-        // Per-queue dispatcher counters (`runtime.queue.*{queue=q}`).
-        let qcounters: Vec<QueueCounters> = (0..r)
+        // Per-ingest-unit counters (`runtime.queue.*{queue=q}`): one
+        // label set per dispatcher, or per fused core.
+        let qcounters: Vec<QueueCounters> = (0..units)
             .map(|q| QueueCounters::registered(&self.registry, q))
             .collect();
 
@@ -712,18 +743,19 @@ impl Engine {
         // Un-park whatever the previous run left in the garage: buffer
         // pools and frame pools are always reused (the soak harness pins
         // `runtime.pool.allocated` flat across segments); FlowCaches
-        // only under `carry_flow_state`. The mesh shape is fixed per
+        // only under `carry_flow_state`. The thread shape is fixed per
         // engine, so parked resources always fit.
         let Garage {
             pools: parked_pools,
             frames: parked_frames,
             caches: parked_caches,
         } = std::mem::take(&mut *self.garage.lock().expect("garage poisoned"));
-        // FIFO un-parking preserves queue affinity (pop order matches
-        // park order, like the caches below): each queue gets its *own*
-        // warmed pool back. The salted RSS split is uneven, so a LIFO
-        // swap would hand the heaviest queue the lightest pool and pay
-        // a one-time re-allocation every time the assignment flips.
+        // FIFO un-parking preserves affinity (pop order matches park
+        // order): each ingest unit gets its *own* warmed pool back and
+        // shard `i` gets shard `i`'s cache. The salted RSS split is
+        // uneven, so a LIFO swap would hand the heaviest queue the
+        // lightest pool and pay a one-time re-allocation every time the
+        // assignment flips.
         let mut parked_pools: VecDeque<BufferPool> = parked_pools.into();
         let mut parked_frames: VecDeque<FramePool> = parked_frames.into();
         let mut parked_caches: VecDeque<FlowCache> = if cfg.carry_flow_state {
@@ -733,120 +765,109 @@ impl Engine {
         };
 
         // ── Control plane (optional) ────────────────────────────────
-        let (mut shard_hooks, mut queue_steer, controller) =
-            self.spawn_control(r, &spec, &log, &counters, &host_processed);
+        let (mut shard_hooks, mut unit_steer, controller) =
+            self.spawn_control(units, &spec, &log, &counters, &host_processed);
 
-        // ── The R×N lane mesh ───────────────────────────────────────
-        // One single-producer ring per (queue, shard) pair, so the SPSC
-        // discipline survives multi-queue ingest. Buffer pools are
-        // per-queue (a pool's receiver is single-consumer); each lane
-        // carries a recycler into the pool of the queue that owns it, so
-        // drained buffers go home to the dispatcher that allocated them.
-        // Pool capacity covers every buffer a queue can have alive at
-        // once (N full lanes + in-shard + staging): steady state
-        // allocates nothing.
-        let mut pools: Vec<BufferPool> = Vec::with_capacity(r);
-        let mut producer_rows: Vec<Vec<Producer<ShardMsg>>> =
-            (0..r).map(|_| Vec::with_capacity(n)).collect();
-        let mut lane_rows: Vec<Vec<LaneRx>> = (0..n).map(|_| Vec::with_capacity(r)).collect();
-        for row in producer_rows.iter_mut() {
-            // Recycle-channel capacity must cover the worst-case
-            // in-flight set — n full lanes plus each shard's batch in
-            // hand, the dispatcher's staged buffers and the one just
-            // acquired — with headroom, so the *entire* working set
-            // survives an end-of-run return and reparks with the pool.
-            // A cap at/below the in-flight peak trims buffers at every
-            // segment boundary and service mode re-allocates them each
-            // restart (the soak harness pins this at zero).
-            let pool = parked_pools.pop_front().unwrap_or_else(|| {
-                BufferPool::new(n * (cfg.queue_batches + 4), cfg.batch, &self.registry)
-            });
-            for lanes in lane_rows.iter_mut() {
-                let (tx, rx) = spsc::<ShardMsg>(cfg.queue_batches);
-                row.push(tx);
-                lanes.push(LaneRx {
-                    rx,
-                    recycle: pool.recycler(),
-                });
-            }
-            pools.push(pool);
-        }
-
-        // Shards: one thread each, consuming R lanes. The shared finish
-        // line makes the end-of-stream log apply deterministic (see
+        // ── Shard workers ───────────────────────────────────────────
+        // One per partition, every one built before any thread starts:
+        // each registers its verdict-log reader here, and a fused core
+        // publishes triage verdicts the moment it runs — a reader
+        // registered after the log compacted past those publications
+        // would silently miss that prefix. The shared finish line makes
+        // the end-of-stream log apply deterministic (see
         // `ShardWorker::finish`).
         let finish_line = Arc::new(std::sync::Barrier::new(n));
-        let mut handles = Vec::with_capacity(n);
-        for (i, lanes) in lane_rows.into_iter().enumerate() {
-            // Shard `i` gets shard `i`'s cache back (pop order matches
-            // park order): RSS placement is a pure function of digest
-            // and shard count, so carried flow state stays affine.
-            let cache = match parked_caches.pop_front() {
-                Some(cache) => cache,
-                None => {
+        let workers: Vec<ShardWorker> = (0..n)
+            .map(|i| {
+                // RSS placement is a pure function of digest and shard
+                // count, so carried flow state stays affine.
+                let cache = parked_caches.pop_front().unwrap_or_else(|| {
                     let mut cache_cfg = FlowCacheConfig::general(cfg.cache_row_bits);
                     cache_cfg.hash_seed = cfg.hash_seed;
                     let mut cache = FlowCache::new(cache_cfg);
                     cache.attach_telemetry(&self.registry);
                     cache
-                }
-            };
-            let escalation = match &pool {
-                Some(p) => Escalation::Pool(p.sender()),
-                None => Escalation::Inline(TriageNf::new(cfg.triage_threshold)),
-            };
-            let worker = ShardWorker::new(
-                cache,
-                escalation,
-                Arc::clone(&log),
-                counters[i].clone(),
-                stage.clone(),
-                host_processed.clone(),
-                cfg.enforce_verdicts,
-                hasher,
-                cfg.merge,
-                cfg.batch,
-                cfg.cache_burst,
-                shard_hooks[i].take(),
-                ShardObs {
-                    flight: self.flight.ring(format!("sw-shard-{i}")),
-                    trace: spec.as_ref().map(|s| s.thread(format!("sw-shard-{i}"))),
-                },
-                Arc::clone(&finish_line),
-            );
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("sw-shard-{i}"))
-                    .spawn(move || worker.run(lanes))
-                    .expect("spawn shard thread"),
-            );
-        }
+                });
+                let escalation = match &pool {
+                    Some(p) => Escalation::Pool(p.sender()),
+                    None => Escalation::Inline(TriageNf::new(cfg.triage_threshold)),
+                };
+                // A fused core's sampled block spans cover its
+                // processing, so its worker opens no track of its own.
+                let (name, trace) = if rtc {
+                    (format!("sw-core-{i}"), None)
+                } else {
+                    let name = format!("sw-shard-{i}");
+                    let trace = spec.as_ref().map(|s| s.thread(name.clone()));
+                    (name, trace)
+                };
+                ShardWorker::new(
+                    cache,
+                    escalation,
+                    Arc::clone(&log),
+                    counters[i].clone(),
+                    stage.clone(),
+                    host_processed.clone(),
+                    cfg.enforce_verdicts,
+                    hasher,
+                    cfg.merge,
+                    cfg.batch,
+                    cfg.cache_burst,
+                    shard_hooks[i].take(),
+                    ShardObs {
+                        flight: self.flight.ring(name),
+                        trace,
+                    },
+                    Arc::clone(&finish_line),
+                )
+            })
+            .collect();
 
-        // ── RSS split ───────────────────────────────────────────────
-        // Assign each packet to a queue by salted digest remix — the
-        // software stand-in for the NIC distributing flows across RX
-        // queues, done outside the timed region (hardware RSS is free).
-        // The timed hot path still digests every packet itself, so the
-        // per-packet work is identical at every R and the Mpps scaling
+        // ── Ingest split ────────────────────────────────────────────
+        // Untimed, like the NIC's RSS or flow steering (hardware does it
+        // for free). The pipeline spreads flows across its R queues by
+        // salted digest remix; RTC assigns each packet straight to the
+        // core that owns its FlowCache rows. The timed front ends still
+        // digest every packet themselves, so per-packet work is the same
+        // at every unit count and on both datapaths, and the Mpps
         // comparison stays honest.
         let plan = PacePlan::resolve(pace, source.len());
-        let streams = split_streams(source, r, cfg.hash_seed, &hasher);
+        let streams = match cfg.datapath {
+            DatapathMode::Pipeline => {
+                let salt = splitmix64(cfg.hash_seed);
+                split_streams(source, units, &hasher, |d| queue_for_digest(d, salt, units))
+            }
+            DatapathMode::Rtc => {
+                split_streams(source, units, &hasher, |d| shard_for_digest(d, units))
+            }
+        };
 
-        // ── Dispatch: R threads, each replaying its sub-stream ──────
+        // ── Ingest front ends: one per dispatcher or fused core ─────
         let start = Instant::now();
-        let dends: Vec<DispatchEnd> = std::thread::scope(|scope| {
-            let mut dhandles = Vec::with_capacity(r);
-            for ((q, stream), (row, pool)) in streams
-                .into_iter()
-                .enumerate()
-                .zip(producer_rows.into_iter().zip(pools))
-            {
-                // Wire mode: each dispatcher owns a frame pool (the
-                // software RX ring) sized to the largest frame in the
-                // store; it warms up on the first burst and then
+        let fronts: Vec<(Ingest<'_>, BufferPool)> = (0..units)
+            .map(|u| {
+                let name = if rtc {
+                    format!("sw-core-{u}")
+                } else {
+                    format!("sw-rxq-{u}")
+                };
+                // A dispatcher's pool covers every buffer it can have
+                // alive at once — n full lanes plus each shard's batch in
+                // hand, its staged buffers and the one just acquired —
+                // with headroom, so the *entire* working set survives an
+                // end-of-run return and reparks with the pool (a cap at
+                // or below the in-flight peak would trim buffers at every
+                // segment boundary; the soak harness pins that at zero).
+                // A fused core stages into one buffer and has nothing in
+                // flight, so its pool stays tiny.
+                let slots = if rtc { 4 } else { n * (cfg.queue_batches + 4) };
+                let bufs = parked_pools
+                    .pop_front()
+                    .unwrap_or_else(|| BufferPool::new(slots, cfg.batch, &self.registry));
+                // Wire mode: a frame pool sized to the largest frame in
+                // the store; it warms up on the first burst and then
                 // recycles its 8 slots for the rest of the run. Parked
-                // pools are reused when their slots still fit the
-                // store's largest frame.
+                // pools are reused when their slots still fit.
                 let frames = match source {
                     FrameSource::Wire(store) => Some(
                         parked_frames
@@ -858,47 +879,125 @@ impl Engine {
                     ),
                     FrameSource::Packets(_) => None,
                 };
-                let dispatcher = RxDispatcher {
-                    batch: cfg.batch,
+                let front = Ingest {
                     enforce_verdicts: cfg.enforce_verdicts,
                     hasher,
-                    pool,
                     frames,
-                    producers: row,
-                    counters: &counters,
-                    queue: &qcounters[q],
-                    steer: queue_steer[q].take(),
+                    queue: &qcounters[u],
+                    steer: unit_steer[u].take(),
                     plan,
-                    pace_override: self.pace_override.as_ref(),
                     pace: PaceState::default(),
+                    pace_override: self.pace_override.as_ref(),
                     drain: self.drain.as_ref(),
                     start,
-                    flight: self.flight.ring(format!("sw-rxq-{q}")),
-                    trace: spec.as_ref().map(|s| s.thread(format!("sw-rxq-{q}"))),
+                    flight: self.flight.ring(name.clone()),
+                    trace: spec.as_ref().map(|s| s.thread(name)),
+                    local: QueueLocal::default(),
+                    block: BlockState {
+                        t0: start,
+                        sampled: false,
+                        idx: 0,
+                    },
                 };
-                dhandles.push(
-                    std::thread::Builder::new()
-                        .name(format!("sw-rxq-{q}"))
-                        .spawn_scoped(scope, move || dispatcher.run(source, stream))
-                        .expect("spawn dispatcher thread"),
-                );
-            }
-            dhandles
-                .into_iter()
-                .map(|h| h.join().expect("dispatcher thread panicked"))
-                .collect()
-        });
+                (front, bufs)
+            })
+            .collect();
 
-        // ── Drain & join ────────────────────────────────────────────
-        let mut ends: Vec<ShardEndState> = Vec::with_capacity(n);
-        let mut caches: Vec<FlowCache> = Vec::with_capacity(n);
-        for h in handles {
-            let (end, cache) = h.join().expect("shard thread panicked");
-            ends.push(end);
-            caches.push(cache);
-        }
+        // ── Threads: the one part that differs per topology ─────────
+        let (ends, shard_ends): (Vec<IngestEnd>, Vec<(ShardEndState, FlowCache)>) =
+            std::thread::scope(|scope| match cfg.datapath {
+                DatapathMode::Pipeline => {
+                    // The R×N lane mesh: one single-producer ring per
+                    // (queue, shard) pair, so the SPSC discipline
+                    // survives multi-queue ingest. Each lane carries a
+                    // recycler into the pool of the queue that owns it,
+                    // so drained buffers go home to the dispatcher that
+                    // allocated them.
+                    let mut producer_rows: Vec<Vec<Producer<ShardMsg>>> =
+                        (0..units).map(|_| Vec::with_capacity(n)).collect();
+                    let mut lane_rows: Vec<Vec<LaneRx>> =
+                        (0..n).map(|_| Vec::with_capacity(units)).collect();
+                    for (row, (_, bufs)) in producer_rows.iter_mut().zip(&fronts) {
+                        for lanes in lane_rows.iter_mut() {
+                            let (tx, rx) = spsc::<ShardMsg>(cfg.queue_batches);
+                            row.push(tx);
+                            lanes.push(LaneRx {
+                                rx,
+                                recycle: bufs.recycler(),
+                            });
+                        }
+                    }
+                    // Shards first, so every lane has a consumer before
+                    // its dispatcher starts pushing.
+                    let shards: Vec<_> = workers
+                        .into_iter()
+                        .zip(lane_rows)
+                        .enumerate()
+                        .map(|(i, (worker, lanes))| {
+                            std::thread::Builder::new()
+                                .name(format!("sw-shard-{i}"))
+                                .spawn_scoped(scope, move || worker.run(lanes))
+                                .expect("spawn shard thread")
+                        })
+                        .collect();
+                    let dispatchers: Vec<_> = fronts
+                        .into_iter()
+                        .zip(streams)
+                        .zip(producer_rows)
+                        .enumerate()
+                        .map(|(q, (((front, bufs), stream), producers))| {
+                            let sink =
+                                LaneSink::new(cfg.batch, plan.paced(), bufs, producers, &counters);
+                            std::thread::Builder::new()
+                                .name(format!("sw-rxq-{q}"))
+                                .spawn_scoped(scope, move || front.run(source, stream, sink).0)
+                                .expect("spawn dispatcher thread")
+                        })
+                        .collect();
+                    let ends = dispatchers
+                        .into_iter()
+                        .map(|h| h.join().expect("dispatcher thread panicked"))
+                        .collect();
+                    let shard_ends = shards
+                        .into_iter()
+                        .map(|h| h.join().expect("shard thread panicked"))
+                        .collect();
+                    (ends, shard_ends)
+                }
+                DatapathMode::Rtc => {
+                    // Best-effort pin bookkeeping (`--pin-cores`): counts
+                    // kernel-accepted masks, so an operator can see when
+                    // a cpuset container silently refused the pinning
+                    // they asked for.
+                    let core_pinned = self.registry.counter("runtime.core.pinned", &[]);
+                    let pin = cfg.pin_cores;
+                    let cores: Vec<_> = fronts
+                        .into_iter()
+                        .zip(streams)
+                        .zip(workers)
+                        .enumerate()
+                        .map(|(i, (((front, bufs), stream), worker))| {
+                            let sink = CoreSink::new(cfg.batch, bufs, worker);
+                            let pinned = core_pinned.clone();
+                            std::thread::Builder::new()
+                                .name(format!("sw-core-{i}"))
+                                .spawn_scoped(scope, move || {
+                                    if pin && smartwatch_snic::pin_current_thread(i) {
+                                        pinned.inc();
+                                    }
+                                    front.run(source, stream, sink)
+                                })
+                                .expect("spawn rtc core thread")
+                        })
+                        .collect();
+                    cores
+                        .into_iter()
+                        .map(|h| h.join().expect("rtc core thread panicked"))
+                        .unzip()
+                }
+            });
         let elapsed = start.elapsed();
-        // Verdict-log occupancy at mesh quiesce, before the controller's
+        // Verdict-log occupancy at quiesce, before the controller's
         // final epoch drains its tail — the soak harness trends this.
         let log_buffered = log.buffered() as u64;
         // Shut the host pool down *after* the shards: its channel drains
@@ -917,12 +1016,14 @@ impl Engine {
 
         // Re-park the run-scoped resources for the next segment, and
         // settle the segment's books.
-        let interrupted = dends.iter().any(|d| d.interrupted);
+        let (shard_ends, caches): (Vec<ShardEndState>, Vec<FlowCache>) =
+            shard_ends.into_iter().unzip();
+        let interrupted = ends.iter().any(|e| e.interrupted);
         {
             let mut garage = self.garage.lock().expect("garage poisoned");
-            for d in dends {
-                garage.pools.push(d.pool);
-                if let Some(fp) = d.frames {
+            for e in ends {
+                garage.pools.push(e.pool);
+                if let Some(fp) = e.frames {
                     garage.frames.push(fp);
                 }
             }
@@ -936,10 +1037,10 @@ impl Engine {
         }
         self.mem_rss.set(mem::rss_bytes() as f64);
 
-        let flowcache = FlowCacheSummary::aggregate(cfg.cache_burst, &ends);
+        let flowcache = FlowCacheSummary::aggregate(cfg.cache_burst, &shard_ends);
         let shards: Vec<ShardStats> = counters
             .iter()
-            .zip(&ends)
+            .zip(&shard_ends)
             .zip(&shard_base)
             .map(|((c, e), base)| shard_stats_delta(c.snapshot(*e), base))
             .collect();
@@ -948,7 +1049,7 @@ impl Engine {
             .zip(&queue_base)
             .map(|(q, base)| queue_stats_delta(q.snapshot(), base))
             .collect();
-        // A drained segment offered exactly what its dispatchers got to
+        // A drained segment offered exactly what its ingest units got to
         // before the flag: the per-queue tallies. An uninterrupted run
         // keeps the stronger form — the whole source, independently
         // cross-checked against the queue axis by `conserved()`.
@@ -1082,317 +1183,6 @@ impl Engine {
         }
         (shard_hooks, queue_steer, controller)
     }
-
-    /// The run-to-completion datapath: C = `shards` fused `sw-core-{i}`
-    /// threads, each owning one shard partition *and* its ingest. The
-    /// pre-split assigns packets by
-    /// [`shard_for_digest`](smartwatch_net::hash::shard_for_digest)
-    /// directly — no salted queue remix — so a core's sub-stream is
-    /// exactly the stream its FlowCache partition would have received
-    /// through the mesh, and the fused loop (ingest → digest →
-    /// FlowCache → detectors → verdict) runs it in place with zero
-    /// inter-thread queue crossings on the fast path. Host escalation
-    /// and control-plane sampling keep their existing channels; drain,
-    /// garage and serve semantics carry over unchanged. Each core keeps
-    /// per-core ingest books under the same `queue=` labels the
-    /// dispatchers use (in RTC the ingest unit *is* the core), so the
-    /// two-axis conservation identity holds exactly as in pipeline
-    /// mode — and for the same seed the deterministic summary is
-    /// byte-identical to a single-queue pipeline run.
-    fn run_rtc(&self, source: FrameSource<'_>, pace: Pace) -> EngineReport {
-        let cfg = &self.cfg;
-        let n = cfg.shards;
-        assert!(
-            source.len() <= u32::MAX as usize,
-            "sequence indices are u32 at split time"
-        );
-        let log = Arc::new(ControlLog::new());
-        let stage = StageHists::registered(&self.registry);
-        let host_processed = self.registry.counter("runtime.host.processed", &[]);
-        let anchor = WallAnchor::new();
-        let spec: Option<TraceSpec> =
-            self.tracer
-                .as_ref()
-                .filter(|_| cfg.trace_sample > 0)
-                .map(|t| TraceSpec {
-                    tracer: t.clone(),
-                    anchor,
-                    every: cfg.trace_sample,
-                });
-        self.decisions
-            .lock()
-            .expect("decision audit poisoned")
-            .clear();
-
-        let pool = (cfg.host_workers > 0).then(|| {
-            let threshold = cfg.triage_threshold;
-            HostPool::spawn(
-                cfg.host_workers,
-                cfg.host_queue,
-                Arc::clone(&log),
-                host_processed.clone(),
-                HostObs::new(stage.escalate_ns.clone(), spec.clone()),
-                move |_| Box::new(TriageNf::new(threshold)),
-            )
-        });
-        let hasher = FlowHasher::new(cfg.hash_seed);
-        let counters: Vec<ShardCounters> = (0..n)
-            .map(|i| ShardCounters::registered(&self.registry, i))
-            .collect();
-        let qcounters: Vec<QueueCounters> = (0..n)
-            .map(|q| QueueCounters::registered(&self.registry, q))
-            .collect();
-        let shard_base: Vec<ShardStats> = counters
-            .iter()
-            .map(|c| c.snapshot(ShardEndState::default()))
-            .collect();
-        let queue_base: Vec<QueueStats> = qcounters.iter().map(QueueCounters::snapshot).collect();
-        let host_base = host_processed.get();
-        self.mem_rss.set(mem::rss_bytes() as f64);
-        // Best-effort pin bookkeeping (`--pin-cores`): counts kernel-
-        // accepted masks, so an operator can see when a cpuset container
-        // silently refused the pinning they asked for.
-        let core_pinned = self.registry.counter("runtime.core.pinned", &[]);
-
-        let Garage {
-            pools: parked_pools,
-            frames: parked_frames,
-            caches: parked_caches,
-        } = std::mem::take(&mut *self.garage.lock().expect("garage poisoned"));
-        let mut parked_pools: VecDeque<BufferPool> = parked_pools.into();
-        let mut parked_frames: VecDeque<FramePool> = parked_frames.into();
-        let mut parked_caches: VecDeque<FlowCache> = if cfg.carry_flow_state {
-            parked_caches.into()
-        } else {
-            VecDeque::new()
-        };
-
-        // Control plane: same wiring as the mesh, with one steering
-        // reader per fused core instead of per dispatcher.
-        let (mut shard_hooks, mut queue_steer, controller) =
-            self.spawn_control(n, &spec, &log, &counters, &host_processed);
-
-        // ── RTC pre-split ───────────────────────────────────────────
-        // Straight `shard_for_digest`: the packets a core ingests are
-        // exactly the packets whose FlowCache rows it owns. Untimed,
-        // like the RSS split — hardware flow steering is free.
-        let plan = PacePlan::resolve(pace, source.len());
-        let streams = split_rtc(source, n, &hasher);
-
-        // ── Fused cores: spawn, run to completion, join ─────────────
-        let start = Instant::now();
-        let finish_line = Arc::new(std::sync::Barrier::new(n));
-        let rends: Vec<RtcEnd> = std::thread::scope(|scope| {
-            // Construct every core — registering every log reader —
-            // *before* spawning any thread: a fused core starts
-            // publishing triage verdicts the moment it runs, and a
-            // reader registered after the log has compacted past the
-            // early publications would silently miss that prefix.
-            // (The mesh gets this ordering for free: dispatchers spawn
-            // after every shard worker is built.)
-            let mut cores = Vec::with_capacity(n);
-            for (i, stream) in streams.into_iter().enumerate() {
-                let cache = match parked_caches.pop_front() {
-                    Some(cache) => cache,
-                    None => {
-                        let mut cache_cfg = FlowCacheConfig::general(cfg.cache_row_bits);
-                        cache_cfg.hash_seed = cfg.hash_seed;
-                        let mut cache = FlowCache::new(cache_cfg);
-                        cache.attach_telemetry(&self.registry);
-                        cache
-                    }
-                };
-                let escalation = match &pool {
-                    Some(p) => Escalation::Pool(p.sender()),
-                    None => Escalation::Inline(TriageNf::new(cfg.triage_threshold)),
-                };
-                // One staging buffer, processed in place at batch
-                // boundaries: the pool stays tiny because nothing is
-                // ever in flight on a lane.
-                let bufs = parked_pools
-                    .pop_front()
-                    .unwrap_or_else(|| BufferPool::new(4, cfg.batch, &self.registry));
-                let frames = match source {
-                    FrameSource::Wire(store) => Some(
-                        parked_frames
-                            .pop_front()
-                            .filter(|fp| fp.frame_cap() >= store.max_frame_len())
-                            .unwrap_or_else(|| {
-                                FramePool::new(store.max_frame_len(), &self.registry)
-                            }),
-                    ),
-                    FrameSource::Packets(_) => None,
-                };
-                let worker = ShardWorker::new(
-                    cache,
-                    escalation,
-                    Arc::clone(&log),
-                    counters[i].clone(),
-                    stage.clone(),
-                    host_processed.clone(),
-                    cfg.enforce_verdicts,
-                    hasher,
-                    cfg.merge,
-                    cfg.batch,
-                    cfg.cache_burst,
-                    shard_hooks[i].take(),
-                    ShardObs {
-                        flight: self.flight.ring(format!("sw-core-{i}")),
-                        // The core's sampled block spans cover
-                        // processing; the worker emits none of its own.
-                        trace: None,
-                    },
-                    Arc::clone(&finish_line),
-                );
-                let core = RtcCore {
-                    batch: cfg.batch,
-                    enforce_verdicts: cfg.enforce_verdicts,
-                    hasher,
-                    pool: bufs,
-                    frames,
-                    queue: &qcounters[i],
-                    steer: queue_steer[i].take(),
-                    plan,
-                    pace_override: self.pace_override.as_ref(),
-                    pace: PaceState::default(),
-                    drain: self.drain.as_ref(),
-                    start,
-                    flight: self.flight.ring(format!("sw-core-{i}")),
-                    trace: spec.as_ref().map(|s| s.thread(format!("sw-core-{i}"))),
-                    backoff: Backoff::new(),
-                    worker,
-                };
-                cores.push((core, stream));
-            }
-            let mut handles = Vec::with_capacity(n);
-            for (i, (core, stream)) in cores.into_iter().enumerate() {
-                let pin = cfg.pin_cores;
-                let pinned = core_pinned.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("sw-core-{i}"))
-                        .spawn_scoped(scope, move || {
-                            if pin && smartwatch_snic::pin_current_thread(i) {
-                                pinned.inc();
-                            }
-                            core.run(source, stream)
-                        })
-                        .expect("spawn rtc core thread"),
-                );
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rtc core thread panicked"))
-                .collect()
-        });
-        let elapsed = start.elapsed();
-        let log_buffered = log.buffered() as u64;
-        if let Some(p) = pool {
-            p.shutdown();
-        }
-        let control = controller.map(|(handle, stop)| {
-            stop.store(true, Ordering::Release);
-            handle.thread().unpark();
-            handle.join().expect("controller thread panicked")
-        });
-
-        // Re-park and settle, exactly as the mesh does.
-        let mut ends: Vec<ShardEndState> = Vec::with_capacity(n);
-        let mut caches: Vec<FlowCache> = Vec::with_capacity(n);
-        let mut interrupted = false;
-        {
-            let mut garage = self.garage.lock().expect("garage poisoned");
-            for e in rends {
-                interrupted |= e.interrupted;
-                ends.push(e.end);
-                caches.push(e.cache);
-                garage.pools.push(e.pool);
-                if let Some(fp) = e.frames {
-                    garage.frames.push(fp);
-                }
-            }
-            garage.frames.extend(parked_frames);
-            garage.pools.extend(parked_pools);
-            if cfg.carry_flow_state {
-                garage.caches = caches;
-            }
-        }
-        self.mem_rss.set(mem::rss_bytes() as f64);
-
-        let flowcache = FlowCacheSummary::aggregate(cfg.cache_burst, &ends);
-        let shards: Vec<ShardStats> = counters
-            .iter()
-            .zip(&ends)
-            .zip(&shard_base)
-            .map(|((c, e), base)| shard_stats_delta(c.snapshot(*e), base))
-            .collect();
-        let queues: Vec<QueueStats> = qcounters
-            .iter()
-            .zip(&queue_base)
-            .map(|(q, base)| queue_stats_delta(q.snapshot(), base))
-            .collect();
-        let offered = if interrupted {
-            queues.iter().map(|q| q.offered).sum()
-        } else {
-            source.len() as u64
-        };
-        let report = EngineReport {
-            offered,
-            elapsed,
-            shards,
-            queues,
-            host_processed: host_processed.get() - host_base,
-            verdicts_published: log.len() as u64,
-            interrupted,
-            log_buffered,
-            control,
-            stage: StageSnapshot {
-                queue_ns: stage.queue_ns.snapshot(),
-                cache_ns: stage.cache_ns.snapshot(),
-                detect_ns: stage.detect_ns.snapshot(),
-                escalate_ns: stage.escalate_ns.snapshot(),
-                batch_pkts: stage.batch_pkts.snapshot(),
-            },
-            flowcache,
-        };
-        let eng_ring = self.flight.ring("sw-engine");
-        if !report.conserved() {
-            let accounted = report
-                .shards
-                .iter()
-                .map(|s| s.ingested + s.ingest_dropped + s.shed + s.steer_dropped)
-                .sum::<u64>();
-            eng_ring.record(
-                FlightKind::ConservationDelta,
-                report.offered.abs_diff(accounted),
-                report.offered,
-            );
-        }
-        eng_ring.record(
-            FlightKind::RunEnd,
-            u64::from(report.conserved()),
-            report.offered,
-        );
-        report
-    }
-}
-
-/// Open-loop pacing wait: park for the bulk of a long gap (an idle
-/// dispatcher must not burn the core at low offered rates), then
-/// yield-spin the final stretch for timing accuracy.
-fn pace_until(start: Instant, due: Duration) {
-    loop {
-        let elapsed = start.elapsed();
-        if elapsed >= due {
-            return;
-        }
-        let remaining = due - elapsed;
-        if remaining > Duration::from_micros(500) {
-            std::thread::park_timeout(remaining - Duration::from_micros(200));
-        } else {
-            std::thread::yield_now();
-        }
-    }
 }
 
 /// Per-run view of the cumulative per-shard registry counters: the
@@ -1431,10 +1221,10 @@ fn queue_stats_delta(now: QueueStats, base: &QueueStats) -> QueueStats {
 }
 
 /// A [`Pace`] resolved against the trace length into a closed-form
-/// arrival schedule over *global* packet indices. Every dispatcher
+/// arrival schedule over *global* packet indices. Every ingest unit
 /// computes its packets' due times from their global sequence numbers,
-/// so R queues replay the same wall-clock arrival process the single
-/// dispatcher would — the spike hits every queue in the same window.
+/// so R queues (or C cores) replay the same wall-clock arrival process
+/// a single unit would — the spike hits every unit in the same window.
 #[derive(Clone, Copy, Debug)]
 enum PacePlan {
     Flatout,
@@ -1506,432 +1296,107 @@ impl PacePlan {
     }
 }
 
-/// One RX queue's share of the offered trace.
-enum QueueStream {
-    /// `rx_queues = 1`: the whole slice, no split pre-pass.
-    All,
-    /// Global indices of this queue's packets, ascending — so each
-    /// queue's sub-stream preserves arrival order (and flow affinity
-    /// comes from the digest-based assignment).
-    Picked(Vec<u32>),
+/// Live pacing-override state, re-read at every checkpoint. When the
+/// override bits change, the arrival schedule re-anchors at the current
+/// packet's due time so the new gap applies *forward* — no retroactive
+/// burst, no stall. Releasing the override (bits = 0) returns to the
+/// plan's absolute schedule.
+#[derive(Default)]
+struct PaceState {
+    /// `f64::to_bits` of the overriding inter-arrival gap (ns); `0`
+    /// means "no override".
+    bits: u64,
+    /// Due time (ns) of the packet the override anchored at.
+    anchor_due: f64,
+    /// Global index of the anchor packet.
+    anchor_i: usize,
 }
 
-/// Split the trace across `r` queues by salted flow-digest remix
-/// ([`queue_for_digest`]); the salt derives from the engine seed via
-/// [`splitmix64`], so the per-queue sub-streams are a pure function of
-/// (trace, seed, r) — reproducible across runs. Wire sources digest
-/// from the raw header bytes ([`FlowHasher::digest_raw`], bit-identical
-/// to the key-based digest), so the same flow lands on the same queue
-/// regardless of which representation the engine replays.
-fn split_streams(
-    source: FrameSource<'_>,
-    r: usize,
-    seed: u64,
-    hasher: &FlowHasher,
-) -> Vec<QueueStream> {
-    if r == 1 {
-        return vec![QueueStream::All];
-    }
-    let salt = splitmix64(seed);
-    let len = source.len();
-    let mut picked: Vec<Vec<u32>> = (0..r).map(|_| Vec::with_capacity(len / r + 1)).collect();
-    for i in 0..len {
-        let digest = match source {
-            FrameSource::Packets(packets) => hasher.hash_symmetric(&packets[i].key),
-            FrameSource::Wire(store) => hasher.digest_raw(store.view(i).raw_tuple()).1,
-        };
-        picked[queue_for_digest(digest, salt, r)].push(i as u32);
-    }
-    picked.into_iter().map(QueueStream::Picked).collect()
-}
-
-/// The RTC pre-split: assign each packet to the fused core that owns
-/// its shard partition — [`shard_for_digest`] over the flow digest
-/// directly, with no salted queue remix in between. Each core's
-/// sub-stream preserves global arrival order, so it is *exactly* the
-/// stream its FlowCache partition would have received through the
-/// dispatcher mesh. Untimed, like the RSS split (hardware flow
-/// steering is free); the timed fused loop still digests every packet
-/// itself, so per-packet work matches the pipeline's dispatcher and
-/// the Mpps comparison stays honest.
-fn split_rtc(source: FrameSource<'_>, n: usize, hasher: &FlowHasher) -> Vec<QueueStream> {
-    if n == 1 {
-        return vec![QueueStream::All];
-    }
-    let len = source.len();
-    let mut picked: Vec<Vec<u32>> = (0..n).map(|_| Vec::with_capacity(len / n + 1)).collect();
-    for i in 0..len {
-        let digest = match source {
-            FrameSource::Packets(packets) => hasher.hash_symmetric(&packets[i].key),
-            FrameSource::Wire(store) => hasher.digest_raw(store.view(i).raw_tuple()).1,
-        };
-        picked[shard_for_digest(digest, n)].push(i as u32);
-    }
-    picked.into_iter().map(QueueStream::Picked).collect()
-}
-
-/// What a fused core hands back when its stream ends: the shard end
-/// state and FlowCache (for the report and serve-mode carry), its
-/// reusable pools (re-parked in the [`Garage`]), and whether it
-/// stopped on a drain request.
-struct RtcEnd {
-    end: ShardEndState,
-    cache: FlowCache,
-    pool: BufferPool,
-    frames: Option<FramePool>,
-    interrupted: bool,
-}
-
-/// One fused run-to-completion core: a dispatcher-style ingest front
-/// end and a [`ShardWorker`] back end in a single thread, with no lane
-/// between them. The ingest side mirrors [`RxDispatcher`] — 256-packet
-/// checkpoints (drain observation, live pace-override re-anchoring,
-/// steering refresh, black-box coalescing, counter folds), steering
-/// enforcement at ingest, [`PacePlan`] arrival scheduling — and stages
-/// packets into one pooled buffer. At every `batch`-packet boundary
-/// (exactly where the mesh dispatcher would have flushed a lane batch)
-/// the core ticks the worker's control clock and processes the staged
-/// batch in place, so per-shard decision streams are identical to the
-/// pipeline's. Paced waits use the shard [`Backoff`] ladder — spin →
-/// yield → park, counted as `idle_parks` — so an idle core at low
-/// offered rates never busy-spins a CPU.
-struct RtcCore<'a> {
-    batch: usize,
-    enforce_verdicts: bool,
-    hasher: FlowHasher,
-    /// Staging-buffer pool; one buffer lives for the whole run (there
-    /// are no lanes to keep buffers in flight on).
-    pool: BufferPool,
-    /// Wire mode only: this core's frame pool (the software RX ring).
-    frames: Option<FramePool>,
-    /// This core's ingest books, under the same `queue=` labels the
-    /// dispatchers use: in RTC the ingest unit *is* the core.
-    queue: &'a QueueCounters,
-    steer: Option<SnapshotReader<SteeringSnapshot>>,
-    plan: PacePlan,
-    pace_override: &'a AtomicU64,
-    pace: PaceState,
-    drain: &'a AtomicBool,
-    start: Instant,
-    flight: FlightRing,
-    trace: Option<ThreadTrace>,
-    /// Idle ladder for paced arrival gaps (parks count as
-    /// `idle_parks`, same as a starved pipeline shard).
-    backoff: Backoff,
-    /// The fused processing back end; owns the FlowCache partition,
-    /// detector suite, verdict sets and per-shard counters.
-    worker: ShardWorker,
-}
-
-impl RtcCore<'_> {
-    fn run(self, source: FrameSource<'_>, stream: QueueStream) -> RtcEnd {
-        match source {
-            FrameSource::Packets(packets) => match stream {
-                QueueStream::All => self.run_packets(packets, 0..packets.len()),
-                QueueStream::Picked(idx) => {
-                    self.run_packets(packets, idx.into_iter().map(|i| i as usize))
-                }
-            },
-            FrameSource::Wire(store) => match stream {
-                QueueStream::All => self.run_frames(store, 0..store.len()),
-                QueueStream::Picked(idx) => {
-                    self.run_frames(store, idx.into_iter().map(|i| i as usize))
-                }
-            },
-        }
-    }
-
-    /// Synthetic path: digest and process the core's sub-stream in
-    /// arrival order, batch by batch, entirely on this thread.
-    fn run_packets(mut self, packets: &[Packet], stream: impl Iterator<Item = usize>) -> RtcEnd {
-        let paced = self.plan.paced();
-        let mut buf: Vec<DigestedPacket> = self.pool.acquire();
-        let mut local = QueueLocal::default();
-        let mut block = BlockState {
-            t0: self.start,
-            sampled: false,
-            idx: 0,
-        };
-        let mut interrupted = false;
-        for (k, i) in stream.enumerate() {
-            let pkt = &packets[i];
-            if k.is_multiple_of(256) && self.checkpoint(k, i, paced, &mut local, &mut block) {
-                interrupted = true;
-                break;
-            }
-            local.offered += 1;
-            let (canon, digest) = self.hasher.digest_symmetric(&pkt.key);
-            let dp = DigestedPacket {
-                pkt: *pkt,
-                canon,
-                digest,
-                seq: i as u64,
+impl PaceState {
+    /// Adopt the override `bits` read at global packet `i`: on a change,
+    /// re-anchor at `i`'s due time under the *old* schedule, so the new
+    /// gap applies strictly forward.
+    fn follow(&mut self, plan: &PacePlan, bits: u64, i: usize) {
+        if bits != self.bits {
+            *self = PaceState {
+                bits,
+                anchor_due: self.due_ns(plan, i),
+                anchor_i: i,
             };
-            self.ingest(dp, &mut buf, &mut local);
         }
-        self.finish(buf, local, block, interrupted)
-    }
-
-    /// Zero-copy wire path: the same [`BURST`]-wide load → parse in
-    /// place → `digest_batch8` front end as the mesh dispatcher, fused
-    /// straight into this core's processing loop.
-    fn run_frames(mut self, store: &FrameStore, stream: impl Iterator<Item = usize>) -> RtcEnd {
-        let paced = self.plan.paced();
-        let mut frames = self
-            .frames
-            .take()
-            .expect("wire ingest requires a frame pool");
-        let mut buf: Vec<DigestedPacket> = self.pool.acquire();
-        let mut local = QueueLocal::default();
-        let mut block = BlockState {
-            t0: self.start,
-            sampled: false,
-            idx: 0,
-        };
-        let mut interrupted = false;
-        let mut stream = stream;
-        let mut k = 0usize;
-        loop {
-            let mut idx = [0usize; BURST];
-            let mut m = 0;
-            while m < BURST {
-                match stream.next() {
-                    Some(i) => {
-                        idx[m] = i;
-                        m += 1;
-                    }
-                    None => break,
-                }
-            }
-            if m == 0 {
-                break;
-            }
-            // BURST divides 256, so checkpoints land on burst starts.
-            if k.is_multiple_of(256) && self.checkpoint(k, idx[0], paced, &mut local, &mut block) {
-                interrupted = true;
-                break;
-            }
-            let mut slots: [Option<FrameSlot>; BURST] = Default::default();
-            for (slot, &i) in slots.iter_mut().zip(&idx[..m]) {
-                *slot = Some(frames.load(store.frame(i)));
-            }
-            let mut burst: [Option<DigestedPacket>; BURST] = Default::default();
-            {
-                let mut tuples = [RawTuple::default(); BURST];
-                let mut views: [Option<FrameView<'_>>; BURST] = Default::default();
-                for j in 0..m {
-                    let slot = slots[j].as_ref().expect("slot loaded");
-                    let v = FrameView::parse(frames.frame(slot))
-                        .expect("frame validated at store construction");
-                    tuples[j] = v.raw_tuple();
-                    views[j] = Some(v);
-                }
-                if m == BURST {
-                    let digested = self.hasher.digest_batch8(&tuples);
-                    for j in 0..BURST {
-                        let v = views[j].expect("view parsed");
-                        let (canon, digest) = digested[j];
-                        burst[j] = Some(DigestedPacket {
-                            pkt: store.meta(idx[j]).packet(&v),
-                            canon,
-                            digest,
-                            seq: idx[j] as u64,
-                        });
-                    }
-                } else {
-                    for j in 0..m {
-                        let v = views[j].expect("view parsed");
-                        let (canon, digest) = self.hasher.digest_raw(tuples[j]);
-                        burst[j] = Some(DigestedPacket {
-                            pkt: store.meta(idx[j]).packet(&v),
-                            canon,
-                            digest,
-                            seq: idx[j] as u64,
-                        });
-                    }
-                }
-            }
-            for slot in slots.iter_mut() {
-                if let Some(s) = slot.take() {
-                    frames.release(s);
-                }
-            }
-            for dp in burst.iter_mut().take(m) {
-                local.offered += 1;
-                self.ingest(dp.take().expect("digested"), &mut buf, &mut local);
-            }
-            k += m;
-        }
-        self.frames = Some(frames);
-        self.finish(buf, local, block, interrupted)
-    }
-
-    /// The fused core's 256-packet checkpoint: drain observation, pace
-    /// re-anchoring and the arrival wait, steering refresh, black-box
-    /// coalescing and the live counter fold — the dispatcher checkpoint
-    /// verbatim, except the paced wait runs on the shard [`Backoff`]
-    /// ladder (spin → yield → park, parks counted as `idle_parks`)
-    /// because the fused core is also the shard: at zero offered load
-    /// it must not busy-spin the CPU its own processing runs on.
-    fn checkpoint(
-        &mut self,
-        k: usize,
-        global_i: usize,
-        paced: bool,
-        local: &mut QueueLocal,
-        block: &mut BlockState,
-    ) -> bool {
-        if self.drain.load(Ordering::Acquire) {
-            return true;
-        }
-        if paced {
-            let bits = self.pace_override.load(Ordering::Acquire);
-            if bits != self.pace.bits {
-                let due = self.due_ns(global_i);
-                self.pace = PaceState {
-                    bits,
-                    anchor_due: due,
-                    anchor_i: global_i,
-                };
-            }
-            let due = Duration::from_nanos(self.due_ns(global_i) as u64);
-            while self.start.elapsed() < due {
-                if self.backoff.idle() {
-                    self.worker.counters.idle_parks.inc();
-                }
-            }
-            self.backoff.reset();
-        }
-        if let Some(sr) = self.steer.as_mut() {
-            sr.refresh();
-        }
-        if k > 0 {
-            block.idx = (k / 256) as u64;
-            if local.shed > 0 {
-                self.flight
-                    .record(FlightKind::ShedDrop, local.shed, block.idx);
-            }
-            if local.steer_dropped > 0 {
-                self.flight
-                    .record(FlightKind::SteerDrop, local.steer_dropped, block.idx);
-            }
-            self.queue.fold(local);
-        }
-        if let Some(tt) = self.trace.as_mut() {
-            if k > 0 && block.sampled {
-                tt.span_since(block.t0, "rtc block", "core");
-            }
-            block.sampled = tt.tick();
-            if block.sampled {
-                block.t0 = Instant::now();
-            }
-        }
-        false
     }
 
     /// Arrival deadline of global packet `i` under the effective
-    /// schedule (plan, or the live override from its anchor).
-    fn due_ns(&self, i: usize) -> f64 {
-        if self.pace.bits == 0 {
-            self.plan.due_ns(i)
+    /// schedule: the run's [`PacePlan`] by default, or the live
+    /// override's gap from its anchor when one is set.
+    fn due_ns(&self, plan: &PacePlan, i: usize) -> f64 {
+        if self.bits == 0 {
+            plan.due_ns(i)
         } else {
-            self.pace.anchor_due + (i - self.pace.anchor_i) as f64 * f64::from_bits(self.pace.bits)
-        }
-    }
-
-    /// Ingest one digested packet: steering enforcement exactly as the
-    /// dispatcher's `offer` (blacklist drop, shed filter — accounted
-    /// per shard and per core), then stage; a full staging buffer is
-    /// processed in place. The pre-split guarantees every packet here
-    /// belongs to this core's partition, so there is no shard index to
-    /// compute and nothing to route.
-    fn ingest(
-        &mut self,
-        dp: DigestedPacket,
-        buf: &mut Vec<DigestedPacket>,
-        local: &mut QueueLocal,
-    ) {
-        if let Some(sr) = &self.steer {
-            let snap = sr.current();
-            if self.enforce_verdicts && snap.blacklist.contains(&dp.digest.0) {
-                self.worker.counters.steer_dropped.inc();
-                local.steer_dropped += 1;
-                return;
-            }
-            if snap.shed && !snap.whitelist.contains(&dp.digest.0) {
-                self.worker.counters.shed.inc();
-                local.shed += 1;
-                return;
-            }
-        }
-        buf.push(dp);
-        if buf.len() == self.batch {
-            self.process_staged(buf, local);
-        }
-    }
-
-    /// Process the staged batch in place: account ingest (a fused core
-    /// never drops at ingest — with no lane to overrun, a paced core
-    /// self-backpressures instead, so `ingest_dropped` stays 0), tick
-    /// the worker's control clock at exactly the boundary the mesh
-    /// would have flushed a lane batch, run the pipeline, fold the
-    /// counters. There is no queue crossing — `runtime.stage.queue_ns`
-    /// records nothing in RTC mode, which is the point.
-    fn process_staged(&mut self, buf: &mut Vec<DigestedPacket>, local: &mut QueueLocal) {
-        let len = buf.len() as u64;
-        self.worker.counters.ingested.add(len);
-        local.ingested += len;
-        self.worker.stage.batch_pkts.record(len);
-        self.worker.control_tick();
-        self.worker.process_batch(buf);
-        self.worker.flush_local();
-        buf.clear();
-    }
-
-    /// End of stream (or drain): process the partial tail batch, close
-    /// the sampled span, settle the books exactly, hand the pools back
-    /// for re-parking and run the worker's stop tail (final verdicts,
-    /// detector sweep, end-state freeze).
-    fn finish(
-        mut self,
-        mut buf: Vec<DigestedPacket>,
-        mut local: QueueLocal,
-        block: BlockState,
-        interrupted: bool,
-    ) -> RtcEnd {
-        if !buf.is_empty() {
-            self.process_staged(&mut buf, &mut local);
-        }
-        if block.sampled {
-            if let Some(tt) = &self.trace {
-                tt.span_since(block.t0, "rtc block", "core");
-            }
-        }
-        if local.shed > 0 {
-            self.flight
-                .record(FlightKind::ShedDrop, local.shed, block.idx + 1);
-        }
-        if local.steer_dropped > 0 {
-            self.flight
-                .record(FlightKind::SteerDrop, local.steer_dropped, block.idx + 1);
-        }
-        self.queue.fold(&mut local);
-        self.pool.give_back(buf);
-        let (end, cache) = self.worker.finish();
-        RtcEnd {
-            end,
-            cache,
-            pool: self.pool,
-            frames: self.frames,
-            interrupted,
+            self.anchor_due + (i - self.anchor_i) as f64 * f64::from_bits(self.bits)
         }
     }
 }
 
-/// Plain-integer per-queue tallies, folded into the shared
-/// [`QueueCounters`] atomics at every 256-packet checkpoint (so live
-/// readers — `/stats.json`, `/metrics` — see queue counters at most a
-/// checkpoint stale) and once more at end of stream.
+/// One ingest unit's share of the offered trace.
+enum QueueStream {
+    /// A single ingest unit: the whole source, no split pre-pass.
+    All,
+    /// Global indices of this unit's packets, ascending — so each
+    /// sub-stream preserves arrival order (and flow affinity comes from
+    /// the digest-based assignment).
+    Picked(Vec<u32>),
+}
+
+/// Split the trace across `units` ingest units, sending each packet to
+/// `unit_of(flow digest)`: the salted queue remix for the pipeline's RX
+/// queues, the shard mapping for RTC cores. Both are pure functions of
+/// the digest, so the sub-streams are reproducible across runs. Wire
+/// sources digest from the raw header bytes
+/// ([`FlowHasher::digest_raw`], bit-identical to the key-based digest),
+/// so the same flow lands on the same unit whichever representation the
+/// engine replays.
+fn split_streams(
+    source: FrameSource<'_>,
+    units: usize,
+    hasher: &FlowHasher,
+    unit_of: impl Fn(HashDigest) -> usize,
+) -> Vec<QueueStream> {
+    if units == 1 {
+        return vec![QueueStream::All];
+    }
+    let len = source.len();
+    let mut picked: Vec<Vec<u32>> = (0..units)
+        .map(|_| Vec::with_capacity(len / units + 1))
+        .collect();
+    for i in 0..len {
+        let digest = match source {
+            FrameSource::Packets(packets) => hasher.hash_symmetric(&packets[i].key),
+            FrameSource::Wire(store) => hasher.digest_raw(store.view(i).raw_tuple()).1,
+        };
+        picked[unit_of(digest)].push(i as u32);
+    }
+    picked.into_iter().map(QueueStream::Picked).collect()
+}
+
+/// Packets per ingest burst. Must match the width of
+/// [`FlowHasher::digest_batch8`] and divide [`BLOCK`] so checkpoints
+/// always land on burst boundaries.
+const BURST: usize = 8;
+
+/// Packets per checkpoint block: the cadence of drain observation,
+/// pacing, steering refresh, counter folds and trace sampling.
+const BLOCK: usize = 256;
+
+/// Longest single park of a dispatcher's paced wait. The drain flag is
+/// re-read between slices, so this bounds how long a drain requested
+/// mid-wait goes unseen (the RTC backoff ladder parks shorter still).
+const PACE_SLICE: Duration = Duration::from_millis(1);
+
+/// Plain-integer per-unit tallies, folded into the shared
+/// [`QueueCounters`] atomics at every checkpoint (so live readers —
+/// `/stats.json`, `/metrics` — see queue counters at most a checkpoint
+/// stale) and once more at end of stream.
 #[derive(Default)]
 struct QueueLocal {
     offered: u64,
@@ -1941,159 +1406,124 @@ struct QueueLocal {
     steer_dropped: u64,
 }
 
-/// What a dispatcher thread hands back at end of stream: its reusable
-/// pools (re-parked in the [`Garage`] for the next segment) and whether
-/// it stopped on a drain request rather than end-of-trace.
-struct DispatchEnd {
-    pool: BufferPool,
-    frames: Option<FramePool>,
-    interrupted: bool,
-}
-
-/// Live pacing-override state, re-read at every 256-packet checkpoint.
-/// When the override bits change, the arrival schedule re-anchors at
-/// the current packet's due time so the new gap applies *forward* —
-/// no retroactive burst, no stall. Releasing the override (bits = 0)
-/// returns to the plan's absolute schedule.
-#[derive(Default)]
-struct PaceState {
-    /// `f64::to_bits` of the overriding inter-arrival gap (ns); `0`
-    /// mirrors "no override".
-    bits: u64,
-    /// Due time (ns) of the packet the override anchored at.
-    anchor_due: f64,
-    /// Global index of the anchor packet.
-    anchor_i: usize,
-}
-
-/// One RX-queue dispatcher: owns its producers row of the mesh, its
-/// buffer pool, its steering reader, and replays its sub-stream at the
-/// globally-scheduled arrival times.
-struct RxDispatcher<'a> {
-    batch: usize,
-    enforce_verdicts: bool,
-    hasher: FlowHasher,
-    /// Owned, not shared: a pool's receiver is single-consumer, so each
-    /// dispatcher allocates from (and paced drops return to) its own.
-    pool: BufferPool,
-    /// Wire mode only: this dispatcher's frame pool (the software RX
-    /// ring) — raw frames are loaded into its fixed-capacity slots,
-    /// parsed in place and released per burst. `None` on the synthetic
-    /// packet path.
-    frames: Option<FramePool>,
-    producers: Vec<Producer<ShardMsg>>,
-    counters: &'a [ShardCounters],
-    queue: &'a QueueCounters,
-    steer: Option<SnapshotReader<SteeringSnapshot>>,
-    plan: PacePlan,
-    /// Engine-shared live rate override (see [`Engine::set_rate_override`]).
-    pace_override: &'a AtomicU64,
-    /// This dispatcher's current override anchoring.
-    pace: PaceState,
-    /// Engine-shared graceful-drain flag, observed at checkpoints.
-    drain: &'a AtomicBool,
-    start: Instant,
-    /// This queue's flight-recorder ring (always on; drop events only).
-    flight: FlightRing,
-    /// Sampled dispatch-block trace track (`None` when tracing is off).
-    trace: Option<ThreadTrace>,
-}
-
-/// Per-dispatch-block trace/flight state: blocks are the 256-packet
-/// checkpoint windows; one sampling decision per block covers the whole
-/// window's span.
+/// Per-block trace/flight state: blocks are the checkpoint windows; one
+/// sampling decision per block covers the whole window's span.
 struct BlockState {
     t0: Instant,
     sampled: bool,
     idx: u64,
 }
 
-/// Frames per wire-path burst. Must match the width of
-/// [`FlowHasher::digest_batch8`] and divide the 256-packet checkpoint
-/// window so checkpoints always land on burst boundaries.
-const BURST: usize = 8;
+/// What an ingest unit hands back at end of stream: its reusable pools
+/// (re-parked in the [`Garage`] for the next segment) and whether it
+/// stopped on a drain request rather than end-of-trace.
+struct IngestEnd {
+    pool: BufferPool,
+    frames: Option<FramePool>,
+    interrupted: bool,
+}
 
-impl RxDispatcher<'_> {
-    fn run(self, source: FrameSource<'_>, stream: QueueStream) -> DispatchEnd {
-        match source {
-            FrameSource::Packets(packets) => match stream {
-                QueueStream::All => self.dispatch(packets, 0..packets.len()),
-                QueueStream::Picked(idx) => {
-                    self.dispatch(packets, idx.into_iter().map(|i| i as usize))
-                }
-            },
-            FrameSource::Wire(store) => match stream {
-                QueueStream::All => self.dispatch_frames(store, 0..store.len()),
-                QueueStream::Picked(idx) => {
-                    self.dispatch_frames(store, idx.into_iter().map(|i| i as usize))
-                }
-            },
-        }
-    }
+/// The per-topology half of an ingest unit: where a packet that passed
+/// the steering filter goes, how a paced wait idles, and how the stream
+/// ends. [`Ingest::run`] is generic over it, so the per-packet hand-off
+/// is a static, inlinable call.
+trait IngestSink {
+    /// What the sink hands back at end of stream besides its pool.
+    type Out;
+    /// Trace span name and category of one sampled checkpoint block.
+    const SPAN: (&'static str, &'static str);
+    /// Counters of the shard that owns `digest`'s flow; steering drops
+    /// are booked there.
+    fn shard(&self, digest: HashDigest) -> &ShardCounters;
+    /// Take one packet that passed the steering filter.
+    fn stage(&mut self, dp: DigestedPacket, local: &mut QueueLocal, flight: &FlightRing);
+    /// Idle for at most one bounded slice of a paced wait with
+    /// `remaining` to go.
+    fn idle(&mut self, remaining: Duration);
+    /// The paced wait reached its due time.
+    fn woke(&mut self) {}
+    /// End of stream (or drain): hand on whatever is still staged and
+    /// release the buffer pool.
+    fn finish(self, local: &mut QueueLocal, flight: &FlightRing) -> (BufferPool, Self::Out);
+}
 
-    fn dispatch(mut self, packets: &[Packet], stream: impl Iterator<Item = usize>) -> DispatchEnd {
-        let n = self.producers.len();
-        let paced = self.plan.paced();
-        let mut bufs: Vec<Vec<DigestedPacket>> = (0..n).map(|_| self.pool.acquire()).collect();
-        let mut local = QueueLocal::default();
-        let mut block = BlockState {
-            t0: self.start,
-            sampled: false,
-            idx: 0,
-        };
-        let mut interrupted = false;
-        for (k, i) in stream.enumerate() {
-            let pkt = &packets[i];
-            if k.is_multiple_of(256) && self.checkpoint(k, i, paced, &mut local, &mut block) {
-                interrupted = true;
-                break;
-            }
-            local.offered += 1;
-            let (canon, digest) = self.hasher.digest_symmetric(&pkt.key);
-            let dp = DigestedPacket {
-                pkt: *pkt,
-                canon,
-                digest,
-                seq: i as u64,
-            };
-            self.offer(dp, paced, &mut bufs, &mut local);
-        }
-        self.finish(bufs, paced, local, block, interrupted)
-    }
+/// The ingest front end both datapaths share — one per dispatcher
+/// thread (pipeline) or fused core (RTC). It replays its sub-stream in
+/// bursts of up to [`BURST`] digested packets and runs the
+/// [`BLOCK`]-packet checkpoint: drain observation, the paced wait
+/// against the global arrival schedule (with the live rate override),
+/// steering refresh, black-box coalescing, the counter fold and trace
+/// sampling. Every packet passes the steering filter (blacklist drop,
+/// shed filter) before the sink takes it.
+struct Ingest<'a> {
+    enforce_verdicts: bool,
+    hasher: FlowHasher,
+    /// Wire mode only: this unit's frame pool (the software RX ring) —
+    /// raw frames are loaded into its fixed-capacity slots, parsed in
+    /// place and released per burst. `None` on the synthetic path.
+    frames: Option<FramePool>,
+    /// This unit's books (`runtime.queue.*{queue=Q}`); in RTC the
+    /// ingest unit *is* the core.
+    queue: &'a QueueCounters,
+    steer: Option<SnapshotReader<SteeringSnapshot>>,
+    plan: PacePlan,
+    /// This unit's current override anchoring.
+    pace: PaceState,
+    /// Engine-shared live rate override (see [`Engine::set_rate_override`]).
+    pace_override: &'a AtomicU64,
+    /// Engine-shared graceful-drain flag, observed at checkpoints and
+    /// between the slices of a paced wait.
+    drain: &'a AtomicBool,
+    start: Instant,
+    /// This unit's flight-recorder ring (always on; drop events only).
+    flight: FlightRing,
+    /// Sampled block trace track (`None` when tracing is off).
+    trace: Option<ThreadTrace>,
+    local: QueueLocal,
+    block: BlockState,
+}
 
-    /// The zero-copy wire path: replay packed frames in [`BURST`]-sized
-    /// bursts. Each burst loads raw bytes into this dispatcher's
-    /// [`FramePool`] slots (the DMA step of the RX-ring model), parses
-    /// the headers in place with [`FrameView`], digests all eight flows
-    /// straight from the header bytes ([`FlowHasher::digest_batch8`] —
-    /// bit-identical to the key-based digest, so shard/queue placement
-    /// and FlowCache rows match the synthetic path exactly), rebuilds
-    /// the model [`Packet`]s from view + sideband, and releases the
-    /// slots. Steady state touches no allocator: the pool's 8 slots
-    /// recycle for the whole run.
-    fn dispatch_frames(
+impl Ingest<'_> {
+    /// Replay `stream` into `sink`, then close out: the last sampled
+    /// span, the sink's tail, the final black-box deltas and an exact
+    /// counter fold. A drained unit quiesces exactly like end-of-trace.
+    fn run<S: IngestSink>(
         mut self,
-        store: &FrameStore,
-        stream: impl Iterator<Item = usize>,
-    ) -> DispatchEnd {
-        let n = self.producers.len();
-        let paced = self.plan.paced();
-        let mut frames = self
-            .frames
-            .take()
-            .expect("wire dispatch requires a frame pool");
-        let mut bufs: Vec<Vec<DigestedPacket>> = (0..n).map(|_| self.pool.acquire()).collect();
-        let mut local = QueueLocal::default();
-        let mut block = BlockState {
-            t0: self.start,
-            sampled: false,
-            idx: 0,
+        source: FrameSource<'_>,
+        stream: QueueStream,
+        mut sink: S,
+    ) -> (IngestEnd, S::Out) {
+        let interrupted = match &stream {
+            QueueStream::All => self.pump(source, 0..source.len(), &mut sink),
+            QueueStream::Picked(idx) => {
+                self.pump(source, idx.iter().map(|&i| i as usize), &mut sink)
+            }
         };
-        let mut interrupted = false;
-        let mut stream = stream;
+        if self.block.sampled {
+            if let Some(tt) = &self.trace {
+                tt.span_since(self.block.t0, S::SPAN.0, S::SPAN.1);
+            }
+        }
+        let (pool, out) = sink.finish(&mut self.local, &self.flight);
+        self.record_drops(self.block.idx + 1);
+        self.queue.fold(&mut self.local);
+        let end = IngestEnd {
+            pool,
+            frames: self.frames,
+            interrupted,
+        };
+        (end, out)
+    }
+
+    /// The burst loop. Returns `true` when a drain request stopped it.
+    fn pump<S: IngestSink>(
+        &mut self,
+        source: FrameSource<'_>,
+        mut stream: impl Iterator<Item = usize>,
+        sink: &mut S,
+    ) -> bool {
         let mut k = 0usize;
         loop {
-            // Gather the burst's global indices (full except the tail).
             let mut idx = [0usize; BURST];
             let mut m = 0;
             while m < BURST {
@@ -2106,108 +1536,128 @@ impl RxDispatcher<'_> {
                 }
             }
             if m == 0 {
-                break;
+                return false;
             }
-            // BURST divides 256, so checkpoints land on burst starts.
-            if k.is_multiple_of(256) && self.checkpoint(k, idx[0], paced, &mut local, &mut block) {
-                interrupted = true;
-                break;
+            // BURST divides BLOCK, so checkpoints land on burst starts.
+            if k.is_multiple_of(BLOCK) && self.checkpoint(k, idx[0], sink) {
+                return true;
             }
-            // RX: copy the frames into pooled slots.
-            let mut slots: [Option<FrameSlot>; BURST] = Default::default();
-            for (slot, &i) in slots.iter_mut().zip(&idx[..m]) {
-                *slot = Some(frames.load(store.frame(i)));
-            }
-            // Parse in place, digest from the header bytes, rebuild the
-            // model packets. The views borrow the pool, so this scope
-            // ends before the slots go back on the free list.
-            let mut burst: [Option<DigestedPacket>; BURST] = Default::default();
-            {
-                let mut tuples = [RawTuple::default(); BURST];
-                let mut views: [Option<FrameView<'_>>; BURST] = Default::default();
-                for j in 0..m {
-                    let slot = slots[j].as_ref().expect("slot loaded");
-                    let v = FrameView::parse(frames.frame(slot))
-                        .expect("frame validated at store construction");
-                    tuples[j] = v.raw_tuple();
-                    views[j] = Some(v);
-                }
-                if m == BURST {
-                    let digested = self.hasher.digest_batch8(&tuples);
-                    for j in 0..BURST {
-                        let v = views[j].expect("view parsed");
-                        let (canon, digest) = digested[j];
-                        burst[j] = Some(DigestedPacket {
-                            pkt: store.meta(idx[j]).packet(&v),
+            match source {
+                FrameSource::Packets(packets) => {
+                    for &i in &idx[..m] {
+                        let (canon, digest) = self.hasher.digest_symmetric(&packets[i].key);
+                        let dp = DigestedPacket {
+                            pkt: packets[i],
                             canon,
                             digest,
-                            seq: idx[j] as u64,
-                        });
-                    }
-                } else {
-                    for j in 0..m {
-                        let v = views[j].expect("view parsed");
-                        let (canon, digest) = self.hasher.digest_raw(tuples[j]);
-                        burst[j] = Some(DigestedPacket {
-                            pkt: store.meta(idx[j]).packet(&v),
-                            canon,
-                            digest,
-                            seq: idx[j] as u64,
-                        });
+                            seq: i as u64,
+                        };
+                        self.admit(dp, sink);
                     }
                 }
-            }
-            for slot in slots.iter_mut() {
-                if let Some(s) = slot.take() {
-                    frames.release(s);
+                FrameSource::Wire(store) => {
+                    let mut burst = [None; BURST];
+                    self.digest_frames(store, &idx[..m], &mut burst);
+                    for dp in &burst[..m] {
+                        self.admit(dp.expect("digested"), sink);
+                    }
                 }
-            }
-            for dp in burst.iter_mut().take(m) {
-                local.offered += 1;
-                self.offer(dp.take().expect("digested"), paced, &mut bufs, &mut local);
             }
             k += m;
         }
-        self.frames = Some(frames);
-        self.finish(bufs, paced, local, block, interrupted)
     }
 
-    /// The 256-packet checkpoint shared by both dispatch paths: observe
-    /// a pending drain request (returns `true`: stop offering, quiesce),
-    /// re-read the live pace override, pace to the block's first global
-    /// arrival time, refresh the steering snapshot, coalesce the
-    /// finished block's black-box deltas (`local` resets each
-    /// checkpoint, so its values are exactly the per-block deltas), fold
-    /// the live counters, and make the block's trace-sampling decision.
-    fn checkpoint(
+    /// Digest one burst of wire frames into `out`: load them into
+    /// pooled slots (the DMA step of the RX-ring model), parse in place
+    /// and digest straight from the header bytes — eight at once on a
+    /// full burst, one by one on the stream's tail — then release the
+    /// slots. Every digest is bit-identical to the key-based one the
+    /// synthetic path takes, so placement and FlowCache rows never
+    /// depend on the representation replayed.
+    fn digest_frames(
         &mut self,
-        k: usize,
-        global_i: usize,
-        paced: bool,
-        local: &mut QueueLocal,
-        block: &mut BlockState,
-    ) -> bool {
-        // Check *before* pacing: a drain request must not wait out a
-        // long inter-arrival sleep at low offered rates.
-        if self.drain.load(Ordering::Acquire) {
-            return true;
+        store: &FrameStore,
+        idx: &[usize],
+        out: &mut [Option<DigestedPacket>; BURST],
+    ) {
+        let frames = self
+            .frames
+            .as_mut()
+            .expect("wire ingest requires a frame pool");
+        let mut slots: [Option<FrameSlot>; BURST] = Default::default();
+        for (slot, &i) in slots.iter_mut().zip(idx) {
+            *slot = Some(frames.load(store.frame(i)));
         }
-        if paced {
-            let bits = self.pace_override.load(Ordering::Acquire);
-            if bits != self.pace.bits {
-                // Re-anchor at this packet's due time under the *old*
-                // schedule, so the new gap applies strictly forward.
-                let due = self.due_ns(global_i);
-                self.pace = PaceState {
-                    bits,
-                    anchor_due: due,
-                    anchor_i: global_i,
-                };
+        // The views borrow the pool, so this scope ends before the slots
+        // go back on the free list.
+        {
+            let mut tuples = [RawTuple::default(); BURST];
+            let mut views: [Option<FrameView<'_>>; BURST] = Default::default();
+            for ((t, v), slot) in tuples
+                .iter_mut()
+                .zip(&mut views)
+                .zip(slots.iter().flatten())
+            {
+                let view = FrameView::parse(frames.frame(slot))
+                    .expect("frame validated at store construction");
+                *t = view.raw_tuple();
+                *v = Some(view);
             }
-            pace_until(
-                self.start,
-                Duration::from_nanos(self.due_ns(global_i) as u64),
-            );
+            let batch = (idx.len() == BURST).then(|| self.hasher.digest_batch8(&tuples));
+            for (j, &i) in idx.iter().enumerate() {
+                let view = views[j].expect("view parsed");
+                let (canon, digest) = match &batch {
+                    Some(digested) => digested[j],
+                    None => self.hasher.digest_raw(tuples[j]),
+                };
+                out[j] = Some(DigestedPacket {
+                    pkt: store.meta(i).packet(&view),
+                    canon,
+                    digest,
+                    seq: i as u64,
+                });
+            }
+        }
+        for slot in slots.iter_mut() {
+            if let Some(s) = slot.take() {
+                frames.release(s);
+            }
+        }
+    }
+
+    /// Offer one digested packet: steering enforcement at ingest
+    /// (blacklisted flows drop here — prevention at the earliest point —
+    /// and under load shedding only whitelisted flows pass; both are
+    /// accounted per shard *and* per unit, so conservation includes them
+    /// on both axes), then hand it to the sink.
+    fn admit<S: IngestSink>(&mut self, dp: DigestedPacket, sink: &mut S) {
+        self.local.offered += 1;
+        if let Some(sr) = &self.steer {
+            let snap = sr.current();
+            if self.enforce_verdicts && snap.blacklist.contains(&dp.digest.0) {
+                sink.shard(dp.digest).steer_dropped.inc();
+                self.local.steer_dropped += 1;
+                return;
+            }
+            if snap.shed && !snap.whitelist.contains(&dp.digest.0) {
+                sink.shard(dp.digest).shed.inc();
+                self.local.shed += 1;
+                return;
+            }
+        }
+        sink.stage(dp, &mut self.local, &self.flight);
+    }
+
+    /// The checkpoint at the start of every block (`k` packets into the
+    /// sub-stream, global index `global_i`): observe a drain request and
+    /// pace to the block's first arrival (returns `true`: stop before
+    /// offering the block), refresh the steering snapshot, coalesce the
+    /// finished block's black-box deltas (`local` resets each checkpoint,
+    /// so its values are exactly the per-block deltas), fold the live
+    /// counters, and make the block's trace-sampling decision.
+    fn checkpoint<S: IngestSink>(&mut self, k: usize, global_i: usize, sink: &mut S) -> bool {
+        if self.wait_for(global_i, sink) {
+            return true;
         }
         // One atomic load; re-clones the snapshot Arc only when the
         // controller published since the last check.
@@ -2215,124 +1665,113 @@ impl RxDispatcher<'_> {
             sr.refresh();
         }
         if k > 0 {
-            block.idx = (k / 256) as u64;
-            if local.shed > 0 {
-                self.flight
-                    .record(FlightKind::ShedDrop, local.shed, block.idx);
-            }
-            if local.steer_dropped > 0 {
-                self.flight
-                    .record(FlightKind::SteerDrop, local.steer_dropped, block.idx);
-            }
-            self.queue.fold(local);
+            self.block.idx = (k / BLOCK) as u64;
+            self.record_drops(self.block.idx);
+            self.queue.fold(&mut self.local);
         }
         if let Some(tt) = self.trace.as_mut() {
-            if k > 0 && block.sampled {
-                tt.span_since(block.t0, "dispatch", "rxq");
+            if k > 0 && self.block.sampled {
+                tt.span_since(self.block.t0, S::SPAN.0, S::SPAN.1);
             }
-            block.sampled = tt.tick();
-            if block.sampled {
-                block.t0 = Instant::now();
+            self.block.sampled = tt.tick();
+            if self.block.sampled {
+                self.block.t0 = Instant::now();
             }
         }
         false
     }
 
-    /// Arrival deadline of global packet `i` under the effective
-    /// schedule: the run's [`PacePlan`] by default, or the live
-    /// override's gap from its anchor when one is set.
-    fn due_ns(&self, i: usize) -> f64 {
-        if self.pace.bits == 0 {
-            self.plan.due_ns(i)
-        } else {
-            self.pace.anchor_due + (i - self.pace.anchor_i) as f64 * f64::from_bits(self.pace.bits)
+    /// Wait until global packet `i` is due, re-reading the live rate
+    /// override first. The drain flag is checked before the wait and
+    /// between the sink's bounded idle slices, so a drain requested
+    /// mid-wait stops the unit within one slice instead of after the
+    /// whole gap. Returns `true` on a drain. Flat-out runs only check
+    /// the flag.
+    fn wait_for<S: IngestSink>(&mut self, i: usize, sink: &mut S) -> bool {
+        if !self.plan.paced() {
+            return self.drain.load(Ordering::Acquire);
+        }
+        self.pace
+            .follow(&self.plan, self.pace_override.load(Ordering::Acquire), i);
+        let due = Duration::from_nanos(self.pace.due_ns(&self.plan, i) as u64);
+        loop {
+            if self.drain.load(Ordering::Acquire) {
+                return true;
+            }
+            let elapsed = self.start.elapsed();
+            if elapsed >= due {
+                sink.woke();
+                return false;
+            }
+            sink.idle(due - elapsed);
         }
     }
 
-    /// Offer one digested packet: steering enforcement at dispatch
-    /// (blacklisted flows drop here — prevention at the earliest point —
-    /// and under load shedding only whitelisted flows pass; both are
-    /// accounted per shard *and* per queue, so conservation includes
-    /// them on both axes), then stage into the shard's batch buffer.
-    fn offer(
+    /// Black-box the shed and steering drops tallied since the last
+    /// fold, stamped with block index `block`.
+    fn record_drops(&self, block: u64) {
+        if self.local.shed > 0 {
+            self.flight
+                .record(FlightKind::ShedDrop, self.local.shed, block);
+        }
+        if self.local.steer_dropped > 0 {
+            self.flight
+                .record(FlightKind::SteerDrop, self.local.steer_dropped, block);
+        }
+    }
+}
+
+/// The pipeline's sink — an `sw-rxq-{q}` dispatcher thread: stage each
+/// packet into its shard's batch buffer and push full batches down that
+/// shard's SPSC lane.
+struct LaneSink<'a> {
+    batch: usize,
+    /// Open loop: a full lane at arrival time is an accounted drop, not
+    /// backpressure.
+    paced: bool,
+    /// Owned, not shared: a pool's receiver is single-consumer, so each
+    /// dispatcher allocates from (and paced drops return to) its own.
+    pool: BufferPool,
+    /// This queue's row of the mesh: one producer per shard.
+    producers: Vec<Producer<ShardMsg>>,
+    /// Per-shard staging buffers, flushed at `batch` packets.
+    bufs: Vec<Vec<DigestedPacket>>,
+    counters: &'a [ShardCounters],
+}
+
+impl<'a> LaneSink<'a> {
+    fn new(
+        batch: usize,
+        paced: bool,
+        pool: BufferPool,
+        producers: Vec<Producer<ShardMsg>>,
+        counters: &'a [ShardCounters],
+    ) -> LaneSink<'a> {
+        let bufs = producers.iter().map(|_| pool.acquire()).collect();
+        LaneSink {
+            batch,
+            paced,
+            pool,
+            producers,
+            bufs,
+            counters,
+        }
+    }
+
+    fn flush(
         &self,
-        dp: DigestedPacket,
-        paced: bool,
-        bufs: &mut [Vec<DigestedPacket>],
+        s: usize,
+        batch: Vec<DigestedPacket>,
         local: &mut QueueLocal,
+        flight: &FlightRing,
     ) {
-        let s = shard_for_digest(dp.digest, bufs.len());
-        if let Some(sr) = &self.steer {
-            let snap = sr.current();
-            if self.enforce_verdicts && snap.blacklist.contains(&dp.digest.0) {
-                self.counters[s].steer_dropped.inc();
-                local.steer_dropped += 1;
-                return;
-            }
-            if snap.shed && !snap.whitelist.contains(&dp.digest.0) {
-                self.counters[s].shed.inc();
-                local.shed += 1;
-                return;
-            }
-        }
-        bufs[s].push(dp);
-        if bufs[s].len() == self.batch {
-            let batch = std::mem::replace(&mut bufs[s], self.pool.acquire());
-            self.flush(s, batch, paced, local);
-        }
-    }
-
-    /// End-of-stream tail shared by both dispatch paths — and by the
-    /// graceful-drain path, which is the point: a drained dispatcher
-    /// quiesces *exactly* like end-of-trace. Close the sampled trace
-    /// span, flush every staged batch, send `Stop` down every lane
-    /// (never dropped — blocks until a slot frees), record the final
-    /// black-box deltas, fold the counters exactly, and hand the pools
-    /// back for re-parking.
-    fn finish(
-        self,
-        mut bufs: Vec<Vec<DigestedPacket>>,
-        paced: bool,
-        mut local: QueueLocal,
-        block: BlockState,
-        interrupted: bool,
-    ) -> DispatchEnd {
-        if block.sampled {
-            if let Some(tt) = &self.trace {
-                tt.span_since(block.t0, "dispatch", "rxq");
-            }
-        }
-        for (s, buf) in bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                let batch = std::mem::take(buf);
-                self.flush(s, batch, paced, &mut local);
-            }
-            self.producers[s].push_blocking(ShardMsg::Stop);
-        }
-        if local.shed > 0 {
-            self.flight
-                .record(FlightKind::ShedDrop, local.shed, block.idx + 1);
-        }
-        if local.steer_dropped > 0 {
-            self.flight
-                .record(FlightKind::SteerDrop, local.steer_dropped, block.idx + 1);
-        }
-        self.queue.fold(&mut local);
-        DispatchEnd {
-            pool: self.pool,
-            frames: self.frames,
-            interrupted,
-        }
-    }
-
-    fn flush(&self, s: usize, batch: Vec<DigestedPacket>, paced: bool, local: &mut QueueLocal) {
         let len = batch.len() as u64;
         let tx = &self.producers[s];
         let msg = ShardMsg::Batch(Batch {
             pkts: batch,
             sent: Instant::now(),
         });
-        if paced {
+        if self.paced {
             match tx.try_push(msg) {
                 Ok(()) => {
                     self.counters[s].ingested.add(len);
@@ -2344,7 +1783,7 @@ impl RxDispatcher<'_> {
                 Err(ShardMsg::Batch(b)) => {
                     self.counters[s].ingest_dropped.add(len);
                     local.ingest_dropped += len;
-                    self.flight.record(FlightKind::IngestDrop, s as u64, len);
+                    flight.record(FlightKind::IngestDrop, s as u64, len);
                     self.pool.give_back(b.pkts);
                 }
                 Err(ShardMsg::Stop) => unreachable!("flush only pushes batches"),
@@ -2360,6 +1799,140 @@ impl RxDispatcher<'_> {
         let depth = tx.len() as f64;
         self.counters[s].queue_depth.set(depth);
         self.counters[s].queue_depth_peak.set_max(depth);
+    }
+}
+
+impl IngestSink for LaneSink<'_> {
+    type Out = ();
+    const SPAN: (&'static str, &'static str) = ("dispatch", "rxq");
+
+    fn shard(&self, digest: HashDigest) -> &ShardCounters {
+        &self.counters[shard_for_digest(digest, self.counters.len())]
+    }
+
+    fn stage(&mut self, dp: DigestedPacket, local: &mut QueueLocal, flight: &FlightRing) {
+        let s = shard_for_digest(dp.digest, self.bufs.len());
+        self.bufs[s].push(dp);
+        if self.bufs[s].len() == self.batch {
+            let batch = std::mem::replace(&mut self.bufs[s], self.pool.acquire());
+            self.flush(s, batch, local, flight);
+        }
+    }
+
+    /// Park for the bulk of a long gap (an idle dispatcher must not burn
+    /// the core at low offered rates), one bounded slice at a time, then
+    /// yield-spin the final stretch for timing accuracy.
+    fn idle(&mut self, remaining: Duration) {
+        if remaining > Duration::from_micros(500) {
+            std::thread::park_timeout((remaining - Duration::from_micros(200)).min(PACE_SLICE));
+        } else {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Flush every staged batch, then send `Stop` down every lane (never
+    /// dropped — blocks until a slot frees).
+    fn finish(mut self, local: &mut QueueLocal, flight: &FlightRing) -> (BufferPool, ()) {
+        for (s, buf) in std::mem::take(&mut self.bufs).into_iter().enumerate() {
+            if !buf.is_empty() {
+                self.flush(s, buf, local, flight);
+            }
+            self.producers[s].push_blocking(ShardMsg::Stop);
+        }
+        (self.pool, ())
+    }
+}
+
+/// The run-to-completion sink — an `sw-core-{i}` thread, whose
+/// [`ShardWorker`] back end shares the thread with the ingest front end,
+/// no lane between them. Packets stage into one pooled buffer; at every
+/// `batch`-packet boundary (exactly where a dispatcher would have
+/// flushed a lane batch) the core ticks the worker's control clock and
+/// processes the batch in place, so per-shard decision streams are
+/// identical to the pipeline's. The split guarantees every packet here
+/// belongs to this core's partition, so there is nothing to route.
+struct CoreSink {
+    batch: usize,
+    /// Staging-buffer pool; one buffer lives for the whole run.
+    pool: BufferPool,
+    buf: Vec<DigestedPacket>,
+    /// Idle ladder for paced arrival gaps — spin → yield → park, parks
+    /// counted as `idle_parks` like a starved pipeline shard — because
+    /// the fused core is also the shard: at zero offered load it must
+    /// not busy-spin the CPU its own processing runs on.
+    backoff: Backoff,
+    /// Owns the FlowCache partition, detector suite, verdict sets and
+    /// per-shard counters.
+    worker: ShardWorker,
+}
+
+impl CoreSink {
+    fn new(batch: usize, pool: BufferPool, worker: ShardWorker) -> CoreSink {
+        let buf = pool.acquire();
+        CoreSink {
+            batch,
+            pool,
+            buf,
+            backoff: Backoff::new(),
+            worker,
+        }
+    }
+
+    /// Process the staged batch in place: account ingest (a fused core
+    /// never drops at ingest — with no lane to overrun, a paced core
+    /// self-backpressures instead, so `ingest_dropped` stays 0), tick
+    /// the control clock, run the pipeline, fold the counters. There is
+    /// no queue crossing — `runtime.stage.queue_ns` records nothing in
+    /// RTC mode, which is the point.
+    fn process(&mut self, local: &mut QueueLocal) {
+        let len = self.buf.len() as u64;
+        self.worker.counters.ingested.add(len);
+        local.ingested += len;
+        self.worker.stage.batch_pkts.record(len);
+        self.worker.control_tick();
+        self.worker.process_batch(&self.buf);
+        self.worker.flush_local();
+        self.buf.clear();
+    }
+}
+
+impl IngestSink for CoreSink {
+    type Out = (ShardEndState, FlowCache);
+    const SPAN: (&'static str, &'static str) = ("rtc block", "core");
+
+    fn shard(&self, _: HashDigest) -> &ShardCounters {
+        &self.worker.counters
+    }
+
+    fn stage(&mut self, dp: DigestedPacket, local: &mut QueueLocal, _: &FlightRing) {
+        self.buf.push(dp);
+        if self.buf.len() == self.batch {
+            self.process(local);
+        }
+    }
+
+    fn idle(&mut self, _: Duration) {
+        if self.backoff.idle() {
+            self.worker.counters.idle_parks.inc();
+        }
+    }
+
+    fn woke(&mut self) {
+        self.backoff.reset();
+    }
+
+    /// Process the partial tail batch, then run the worker's stop tail
+    /// (final verdicts, detector sweep, end-state freeze).
+    fn finish(
+        mut self,
+        local: &mut QueueLocal,
+        _: &FlightRing,
+    ) -> (BufferPool, (ShardEndState, FlowCache)) {
+        if !self.buf.is_empty() {
+            self.process(local);
+        }
+        self.pool.give_back(self.buf);
+        (self.pool, self.worker.finish())
     }
 }
 
@@ -2642,8 +2215,8 @@ pub fn decision_value(d: &DecisionRecord) -> Value {
     ])
 }
 
-/// Per-RX-queue dispatcher counters, registered as
-/// `runtime.queue.*{queue=Q}`.
+/// Per-ingest-unit counters (an RX-queue dispatcher, or an RTC core),
+/// registered as `runtime.queue.*{queue=Q}`.
 #[derive(Clone)]
 pub(crate) struct QueueCounters {
     /// Packets of the offered trace assigned to this queue.
@@ -2681,7 +2254,7 @@ impl QueueCounters {
         }
     }
 
-    /// Fold a dispatcher's plain-integer tallies into the shared
+    /// Fold an ingest unit's plain-integer tallies into the shared
     /// atomics and reset them — called at checkpoints (live visibility)
     /// and at end of stream (exactness).
     fn fold(&self, local: &mut QueueLocal) {
@@ -2704,7 +2277,7 @@ impl QueueCounters {
     }
 }
 
-/// Frozen per-RX-queue dispatcher statistics (the report view). The
+/// Frozen per-ingest-unit statistics (the report view). The
 /// queue-local conservation law is
 /// `offered = ingested + ingest_dropped + shed + steer_dropped`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -2833,22 +2406,23 @@ impl FlowCacheSummary {
 /// Everything `Engine::run` measured.
 #[derive(Clone, Debug)]
 pub struct EngineReport {
-    /// Packets offered to the dispatcher.
+    /// Packets offered to the engine.
     pub offered: u64,
-    /// Wall-clock time from first dispatch to last shard joined (the
-    /// drain included).
+    /// Wall-clock time from ingest start to the last worker thread
+    /// joined (the drain included).
     pub elapsed: Duration,
     /// Per-shard statistics.
     pub shards: Vec<ShardStats>,
-    /// Per-RX-queue dispatcher statistics, in queue order (canonical:
-    /// queue 0 first — merge order never depends on thread timing).
+    /// Per-ingest-unit statistics (RX-queue dispatchers, or RTC cores),
+    /// in unit order (canonical: unit 0 first — merge order never
+    /// depends on thread timing).
     pub queues: Vec<QueueStats>,
     /// Escalated packets processed by the host tier (pool or inline).
     pub host_processed: u64,
     /// Verdicts published to the control log.
     pub verdicts_published: u64,
     /// True when the run stopped on a graceful-drain request instead of
-    /// end-of-trace. `offered` then reflects what the dispatchers
+    /// end-of-trace. `offered` then reflects what the ingest units
     /// actually offered before stopping, so conservation still holds.
     pub interrupted: bool,
     /// Verdict-log entries still resident (slowest reader's lag) at
@@ -2987,5 +2561,139 @@ impl EngineReport {
             self.host_processed, self.verdicts_published
         ));
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-packet reference schedule: packet `i` is due at the sum
+    /// of the gaps of packets `0..=i`.
+    fn summed(n: usize, gap: impl Fn(usize) -> f64) -> Vec<f64> {
+        let mut acc = 0.0;
+        (0..n)
+            .map(|i| {
+                acc += gap(i);
+                acc
+            })
+            .collect()
+    }
+
+    fn assert_close(got: f64, want: f64, what: &str) {
+        assert!(
+            (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+            "{what}: got {got}, want {want}"
+        );
+    }
+
+    /// The override bits exactly as the engine publishes them.
+    fn override_bits(mpps: Option<f64>) -> u64 {
+        let engine = Engine::new(EngineConfig::new(1));
+        engine.set_rate_override(mpps);
+        engine.pace_override.load(Ordering::Acquire)
+    }
+
+    #[test]
+    fn rate_plan_matches_the_summed_per_packet_gaps() {
+        let gap = 1000.0 / 0.3;
+        let plan = PacePlan::Rate { gap_ns: gap };
+        for (i, want) in summed(4096, |_| gap).into_iter().enumerate() {
+            assert_close(plan.due_ns(i), want, &format!("rate, packet {i}"));
+        }
+    }
+
+    #[test]
+    fn spike_plan_matches_the_summed_per_packet_gaps_around_its_edges() {
+        let (base, peak) = (5000.0, 500.0);
+        for (lo, hi) in [(300, 700), (0, 400), (600, 1000), (500, 500), (0, 1000)] {
+            let plan = PacePlan::Spike {
+                base_gap_ns: base,
+                peak_gap_ns: peak,
+                lo,
+                hi,
+            };
+            let want = summed(1000, |i| if (lo..hi).contains(&i) { peak } else { base });
+            for (i, want) in want.into_iter().enumerate() {
+                assert_close(
+                    plan.due_ns(i),
+                    want,
+                    &format!("spike [{lo}, {hi}), packet {i}"),
+                );
+            }
+        }
+        // Right at the edges: the first spike packet already arrives on
+        // the peak gap, the first packet after it on the base gap again.
+        let plan = PacePlan::Spike {
+            base_gap_ns: base,
+            peak_gap_ns: peak,
+            lo: 300,
+            hi: 700,
+        };
+        assert_close(plan.due_ns(299) - plan.due_ns(298), base, "before lo");
+        assert_close(plan.due_ns(300) - plan.due_ns(299), peak, "at lo");
+        assert_close(plan.due_ns(699) - plan.due_ns(698), peak, "before hi");
+        assert_close(plan.due_ns(700) - plan.due_ns(699), base, "at hi");
+    }
+
+    #[test]
+    fn an_override_re_anchors_forward_and_its_release_returns_to_the_plan() {
+        let plan = PacePlan::Rate { gap_ns: 1000.0 };
+        let mut pace = PaceState::default();
+        pace.follow(&plan, override_bits(None), 0);
+        assert_eq!(pace.due_ns(&plan, 255), plan.due_ns(255), "no override");
+
+        // 0.25 Mpps from packet 256 on: the anchor keeps its due time
+        // and every later gap is the override's 4 µs.
+        let slow = override_bits(Some(0.25));
+        assert_eq!(f64::from_bits(slow), 4000.0);
+        let anchor_due = pace.due_ns(&plan, 256);
+        pace.follow(&plan, slow, 256);
+        assert_eq!(pace.due_ns(&plan, 256), anchor_due, "anchor moved");
+        for i in 256..2048 {
+            let gap = pace.due_ns(&plan, i + 1) - pace.due_ns(&plan, i);
+            assert_close(gap, 4000.0, &format!("override gap after packet {i}"));
+        }
+        // Re-reading the same bits later does not re-anchor.
+        pace.follow(&plan, slow, 1024);
+        assert_close(
+            pace.due_ns(&plan, 1024),
+            anchor_due + 768.0 * 4000.0,
+            "same override, same anchor",
+        );
+
+        // A second override anchors where the first one had got to.
+        let fast = override_bits(Some(2.0));
+        let second_due = pace.due_ns(&plan, 1280);
+        pace.follow(&plan, fast, 1280);
+        assert_eq!(pace.due_ns(&plan, 1280), second_due);
+        assert_close(
+            pace.due_ns(&plan, 1281) - pace.due_ns(&plan, 1280),
+            500.0,
+            "second override gap",
+        );
+
+        // Releasing hands pacing back to the plan's absolute schedule.
+        pace.follow(&plan, override_bits(None), 1536);
+        for i in [1536, 1537, 4000] {
+            assert_eq!(
+                pace.due_ns(&plan, i),
+                plan.due_ns(i),
+                "released, packet {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_override_rates_publish_no_override() {
+        for bad in [
+            Some(0.0),
+            Some(-1.0),
+            Some(f64::NAN),
+            Some(f64::INFINITY),
+            None,
+        ] {
+            assert_eq!(override_bits(bad), 0, "{bad:?}");
+        }
     }
 }

@@ -27,15 +27,18 @@
 //! * [`shard`] — the per-thread worker: one FlowCache partition, one
 //!   detector suite, no cross-shard synchronisation on the packet path.
 //!   Ingest arrives over R lanes merged under a [`MergePolicy`].
-//! * [`engine`] — the [`Engine`]: R RX-queue dispatchers
+//! * [`engine`] — the [`Engine`] and its two thread topologies:
+//!   [`DatapathMode::Pipeline`], R RX-queue dispatchers
 //!   ([`EngineConfig::rx_queues`], the multi-queue NIC model) feeding
-//!   the shards over an R×N mesh of SPSC lanes, pacing ([`Pace`]),
-//!   graceful drain, and the merged [`EngineReport`]. A second thread
-//!   topology, [`DatapathMode::Rtc`], fuses dispatcher and shard into
-//!   C run-to-completion `sw-core-{i}` threads (pre-split by
-//!   `shard_for_digest`, zero queue crossings on the fast path,
-//!   optional [`EngineConfig::pin_cores`] CPU affinity) with decisions
-//!   and counters identical to the mesh for the same seed.
+//!   the shards over an R×N mesh of SPSC lanes, and
+//!   [`DatapathMode::Rtc`], C run-to-completion `sw-core-{i}` threads
+//!   that fuse ingest and shard (pre-split by `shard_for_digest`, zero
+//!   queue crossings on the fast path, optional
+//!   [`EngineConfig::pin_cores`] CPU affinity). Both run one shared
+//!   ingest front end — burst digest, 256-packet checkpoint, pacing
+//!   ([`Pace`]), graceful drain, steering filter — and one run
+//!   skeleton that builds the merged [`EngineReport`]; decisions and
+//!   counters are identical across topologies for the same seed.
 //!
 //! Every RSS dispatcher uses the *symmetric* shard mapping
 //! [`smartwatch_net::hash::shard_for_digest`] over the dispatch-time

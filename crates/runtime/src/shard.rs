@@ -506,17 +506,9 @@ impl ShardWorker {
                 match lanes[j].rx.try_pop() {
                     Some(ShardMsg::Batch(batch)) => {
                         progressed = true;
-                        let wait_ns = batch.sent.elapsed().as_nanos() as u64;
-                        self.stage.queue_ns.record(wait_ns);
-                        self.stage.batch_pkts.record(batch.pkts.len() as u64);
                         // One sampling decision covers the batch's lane
                         // wait and its processing span.
-                        let sampled = self.obs.trace.as_mut().is_some_and(ThreadTrace::tick);
-                        if sampled {
-                            if let Some(tt) = &self.obs.trace {
-                                tt.span_at(batch.sent, wait_ns, "lane wait", "lane");
-                            }
-                        }
+                        let sampled = self.receive(&batch);
                         self.control_tick();
                         let t0 = sampled.then(Instant::now);
                         self.process_batch(&batch.pkts);
@@ -591,14 +583,7 @@ impl ShardWorker {
                     match l.lane.rx.try_pop() {
                         Some(ShardMsg::Batch(batch)) => {
                             progressed = true;
-                            let wait_ns = batch.sent.elapsed().as_nanos() as u64;
-                            self.stage.queue_ns.record(wait_ns);
-                            self.stage.batch_pkts.record(batch.pkts.len() as u64);
-                            if self.obs.trace.as_mut().is_some_and(ThreadTrace::tick) {
-                                if let Some(tt) = &self.obs.trace {
-                                    tt.span_at(batch.sent, wait_ns, "lane wait", "lane");
-                                }
-                            }
+                            self.receive(&batch);
                             l.cur = Some((batch.pkts, 0));
                         }
                         Some(ShardMsg::Stop) => {
@@ -622,14 +607,7 @@ impl ShardWorker {
                         match msg {
                             ShardMsg::Batch(batch) => {
                                 progressed = true;
-                                let wait_ns = batch.sent.elapsed().as_nanos() as u64;
-                                self.stage.queue_ns.record(wait_ns);
-                                self.stage.batch_pkts.record(batch.pkts.len() as u64);
-                                if self.obs.trace.as_mut().is_some_and(ThreadTrace::tick) {
-                                    if let Some(tt) = &self.obs.trace {
-                                        tt.span_at(batch.sent, wait_ns, "lane wait", "lane");
-                                    }
-                                }
+                                self.receive(&batch);
                                 l.pending.push_back(batch.pkts);
                             }
                             ShardMsg::Stop => {
@@ -683,6 +661,22 @@ impl ShardWorker {
             self.process_group(&group_buf, group_sampled);
         }
         self.finish()
+    }
+
+    /// Book one batch taken off a lane: its queue wait and size into the
+    /// stage histograms, and — when the trace sampler picks it — its
+    /// "lane wait" span. Returns that sampling decision.
+    fn receive(&mut self, batch: &Batch) -> bool {
+        let wait_ns = batch.sent.elapsed().as_nanos() as u64;
+        self.stage.queue_ns.record(wait_ns);
+        self.stage.batch_pkts.record(batch.pkts.len() as u64);
+        let sampled = self.obs.trace.as_mut().is_some_and(ThreadTrace::tick);
+        if sampled {
+            if let Some(tt) = &self.obs.trace {
+                tt.span_at(batch.sent, wait_ns, "lane wait", "lane");
+            }
+        }
+        sampled
     }
 
     /// Process one merged group: the ordered-path analogue of a Fair

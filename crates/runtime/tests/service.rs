@@ -6,14 +6,49 @@
 //! carried FlowCaches that actually warm the next segment, and admin
 //! steering edits that land at epoch boundaries and drop at dispatch.
 
-use smartwatch_net::{Dur, FlowHasher, FlowKey, Packet, PacketBuilder};
-use smartwatch_runtime::{AdminCmd, ControlConfig, Engine, EngineConfig, Pace};
+use smartwatch_net::{Dur, FlowHasher, FlowKey, FrameStore, Packet, PacketBuilder};
+use smartwatch_runtime::{
+    AdminCmd, ControlConfig, DatapathMode, Engine, EngineConfig, EngineReport, Pace,
+};
 use smartwatch_telemetry::Registry;
 use smartwatch_trace::background::{preset_trace, Preset};
 use smartwatch_trace::compile::compile_cycled;
+use std::time::{Duration, Instant};
+
+const DATAPATHS: [DatapathMode; 2] = [DatapathMode::Pipeline, DatapathMode::Rtc];
 
 fn workload(flows: usize, seed: u64) -> Vec<Packet> {
     preset_trace(Preset::Caida2018, flows, Dur::from_millis(500), seed).into_packets()
+}
+
+/// `total` packets of CAIDA background, both as model packets and as
+/// the compiled wire frames of the same cycle — the two sources an
+/// engine replays (`run` and `run_frames`).
+fn both_sources(flows: usize, seed: u64, total: usize) -> (Vec<Packet>, FrameStore) {
+    let trace = preset_trace(Preset::Caida2018, flows, Dur::from_millis(500), seed);
+    let packets = trace
+        .packets()
+        .iter()
+        .cycle()
+        .take(total)
+        .copied()
+        .collect();
+    (packets, compile_cycled(&trace, total))
+}
+
+/// Replay one of the two sources.
+fn replay(
+    engine: &Engine,
+    wire: bool,
+    packets: &[Packet],
+    store: &FrameStore,
+    pace: Pace,
+) -> EngineReport {
+    if wire {
+        engine.run_frames(store, pace)
+    } else {
+        engine.run(packets, pace)
+    }
 }
 
 /// Buffer-pool recycle channels shed on `try_send` overflow by design
@@ -98,47 +133,107 @@ fn wire_segments_keep_the_frame_pool_flat_across_restart() {
 
 #[test]
 fn drain_mid_run_quiesces_conserved_and_the_engine_restarts() {
-    let packets = workload(300, 37);
     let total: usize = 200_000;
-    let stream: Vec<Packet> = packets.iter().cycle().take(total).copied().collect();
-    let engine = Engine::new(EngineConfig::new(2));
+    let (stream, store) = both_sources(300, 37, total);
+    for datapath in DATAPATHS {
+        for wire in [false, true] {
+            let what = format!("{datapath:?}, wire={wire}");
+            let mut cfg = EngineConfig::new(2);
+            cfg.datapath = datapath;
+            let engine = Engine::new(cfg);
+            let run = |pace| replay(&engine, wire, &stream, &store, pace);
 
-    // 0.2 Mpps over 200k packets is a ~1 s run; the drain lands well
-    // inside it. (If a pathologically slow start means the drain beats
-    // the first checkpoint, the run still stops interrupted+conserved —
-    // the assertions below hold either way.)
-    let report = std::thread::scope(|s| {
-        s.spawn(|| {
-            std::thread::sleep(std::time::Duration::from_millis(60));
-            engine.request_drain();
-        });
-        engine.run(&stream, Pace::RateMpps(0.2))
-    });
-    assert!(
-        report.interrupted,
-        "the drain request must cut the run short"
-    );
-    assert!(
-        report.offered < total as u64,
-        "a drained run reports what was actually offered"
-    );
-    assert!(
-        report.conserved(),
-        "a drained segment must quiesce exactly like end-of-trace:\n{}",
-        report.deterministic_summary()
-    );
+            // 0.2 Mpps over 200k packets is a ~1 s run; the drain lands
+            // well inside it. (If a pathologically slow start means the
+            // drain beats the first checkpoint, the run still stops
+            // interrupted+conserved — the assertions below hold either
+            // way.)
+            let report = std::thread::scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(60));
+                    engine.request_drain();
+                });
+                run(Pace::RateMpps(0.2))
+            });
+            assert!(
+                report.interrupted,
+                "{what}: the drain request must cut the run short"
+            );
+            assert!(
+                report.offered < total as u64,
+                "{what}: a drained run reports what was actually offered"
+            );
+            assert!(
+                report.conserved(),
+                "{what}: a drained segment must quiesce exactly like end-of-trace:\n{}",
+                report.deterministic_summary()
+            );
 
-    // The latch is sticky by design (operator intent survives the
-    // segment boundary); clearing it restarts service cleanly.
-    assert!(engine.drain_requested());
-    engine.clear_drain();
-    let next = engine.run(&stream, Pace::Flatout);
-    assert!(!next.interrupted, "a cleared latch must not re-fire");
-    assert_eq!(next.offered, total as u64);
-    assert!(
-        next.conserved(),
-        "the post-drain segment violates conservation"
-    );
+            // The latch is sticky by design (operator intent survives the
+            // segment boundary); clearing it restarts service cleanly.
+            assert!(engine.drain_requested());
+            engine.clear_drain();
+            let next = run(Pace::Flatout);
+            assert!(
+                !next.interrupted,
+                "{what}: a cleared latch must not re-fire"
+            );
+            assert_eq!(next.offered, total as u64, "{what}");
+            assert!(
+                next.conserved(),
+                "{what}: the post-drain segment violates conservation"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_drain_during_a_paced_wait_stops_the_run_within_one_wait_slice() {
+    // At 0.001 Mpps each 256-packet checkpoint block is due 256 ms after
+    // the previous one: every ingest unit offers its first block, then
+    // waits. The drain lands 30 ms into that wait and must end the run
+    // there — not after the wait, and without offering another block.
+    let total: usize = 20_000;
+    let (stream, store) = both_sources(300, 47, total);
+    for datapath in DATAPATHS {
+        for wire in [false, true] {
+            let what = format!("{datapath:?}, wire={wire}");
+            let mut cfg = EngineConfig::new(2);
+            cfg.datapath = datapath;
+            let units = cfg.ingest_units() as u64;
+            let engine = Engine::new(cfg);
+            let (report, after_drain) = std::thread::scope(|s| {
+                let drained_at = s.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(30));
+                    engine.request_drain();
+                    Instant::now()
+                });
+                let report = replay(&engine, wire, &stream, &store, Pace::RateMpps(0.001));
+                let returned = Instant::now();
+                let drained_at = drained_at.join().expect("drain thread");
+                (report, returned.saturating_duration_since(drained_at))
+            });
+            assert!(
+                report.interrupted,
+                "{what}: the drain must cut the run short"
+            );
+            assert!(
+                report.conserved(),
+                "{what}: a drain mid-wait must quiesce conserved:\n{}",
+                report.deterministic_summary()
+            );
+            assert!(
+                after_drain < Duration::from_millis(150),
+                "{what}: the run returned {after_drain:?} after the drain request — \
+                 the wait must re-check the flag instead of sleeping out the block"
+            );
+            assert!(
+                report.offered <= 256 * units,
+                "{what}: only each unit's first block may be offered, got {}",
+                report.offered
+            );
+        }
+    }
 }
 
 #[test]
@@ -213,31 +308,34 @@ fn admin_blacklist_lands_at_an_epoch_boundary_and_drops_at_dispatch() {
         shed_off_mpps: 100.0,
         ..ControlConfig::default()
     };
-    let cfg = EngineConfig::new(2).with_control(ctrl);
-    let digest = FlowHasher::new(cfg.hash_seed).digest_symmetric(&key).1;
-    let engine = Engine::new(cfg);
+    for datapath in DATAPATHS {
+        let mut cfg = EngineConfig::new(2).with_control(ctrl.clone());
+        cfg.datapath = datapath;
+        let digest = FlowHasher::new(cfg.hash_seed).digest_symmetric(&key).1;
+        let engine = Engine::new(cfg);
 
-    assert!(engine.admin(AdminCmd::BlacklistAdd(digest.0)));
-    // 0.3 Mpps over 60k packets is a ~200 ms run — dozens of epoch
-    // boundaries after the edit applies at the first one (~2 ms in).
-    let report = engine.run(&stream, Pace::RateMpps(0.3));
-    assert!(
-        report.conserved(),
-        "steer drops must stay inside the conservation identity:\n{}",
-        report.deterministic_summary()
-    );
-    assert!(
-        engine.admin_applied() >= 1,
-        "the queued edit must drain at an epoch boundary"
-    );
-    assert!(
-        report.steer_dropped() > 0,
-        "the blacklisted flow must drop at dispatch, not at the shard"
-    );
-    let q_steer: u64 = report.queues.iter().map(|q| q.steer_dropped).sum();
-    assert_eq!(
-        q_steer,
-        report.steer_dropped(),
-        "steer drops are accounted on both conservation axes"
-    );
+        assert!(engine.admin(AdminCmd::BlacklistAdd(digest.0)));
+        // 0.3 Mpps over 60k packets is a ~200 ms run — dozens of epoch
+        // boundaries after the edit applies at the first one (~2 ms in).
+        let report = engine.run(&stream, Pace::RateMpps(0.3));
+        assert!(
+            report.conserved(),
+            "{datapath:?}: steer drops must stay inside the conservation identity:\n{}",
+            report.deterministic_summary()
+        );
+        assert!(
+            engine.admin_applied() >= 1,
+            "{datapath:?}: the queued edit must drain at an epoch boundary"
+        );
+        assert!(
+            report.steer_dropped() > 0,
+            "{datapath:?}: the blacklisted flow must drop at ingest, not at the shard"
+        );
+        let q_steer: u64 = report.queues.iter().map(|q| q.steer_dropped).sum();
+        assert_eq!(
+            q_steer,
+            report.steer_dropped(),
+            "{datapath:?}: steer drops are accounted on both conservation axes"
+        );
+    }
 }
