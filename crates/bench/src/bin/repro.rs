@@ -531,10 +531,10 @@ fn usage() {
                          header bytes in place (the zero-copy data plane);\n\
                          `pcap:<path>` replays a capture file through the\n\
                          same wire path, cycled to --packets\n\
-         --bench-json    (engine/control) write the headline wall-clock\n\
-                         numbers as JSON (control adds the mode timeline\n\
-                         and the per-epoch controller decision audit;\n\
-                         engine adds the flowcache hit-mix/probe section)\n\
+         --bench-json    (engine/control) write the run spec plus the\n\
+                         run's serialised EngineReport as JSON (control:\n\
+                         both runs; the controlled one carries the mode\n\
+                         timeline and per-epoch controller decision audit)\n\
          --summary-out   (engine) write the byte-stable deterministic\n\
                          summary (exact counters, no wall-clock values)\n\
                          — what CI diffs against its committed golden\n\

@@ -17,8 +17,8 @@ use crate::exp_engine::{replay_data, EngineSource};
 use crate::output::Table;
 use crate::{workloads, ExpCtx};
 use serde::Serialize;
-use smartwatch_control::{simulate, ControlConfig, DecisionRecord, LoadProfile};
-use smartwatch_runtime::{ControlReport, Engine, EngineConfig, EngineReport, Pace};
+use smartwatch_control::{simulate, ControlConfig, LoadProfile};
+use smartwatch_runtime::{Engine, EngineConfig, EngineReport, Pace};
 use smartwatch_trace::background::Preset;
 use smartwatch_trace::Trace;
 use std::sync::Arc;
@@ -185,20 +185,6 @@ pub fn control_run_full(
     (render(spec, &outcome), outcome, engine)
 }
 
-/// One engine run's headline numbers in the bench artifact.
-#[derive(Debug, Serialize)]
-struct RunJson {
-    offered: u64,
-    processed: u64,
-    ingest_dropped: u64,
-    shed: u64,
-    steer_dropped: u64,
-    drop_pct: f64,
-    mpps: f64,
-    handled_mpps: f64,
-    conserved: bool,
-}
-
 /// Disposal rate: packets per second the pipeline *kept up with* —
 /// processed plus deliberately dropped with accounting (shed, steering
 /// blacklist). Uncontrolled ingest overruns are excluded: those are the
@@ -212,119 +198,12 @@ fn handled_mpps(r: &EngineReport) -> f64 {
     }
 }
 
-impl RunJson {
-    fn from(r: &EngineReport) -> RunJson {
-        RunJson {
-            offered: r.offered,
-            processed: r.processed(),
-            ingest_dropped: r.ingest_dropped(),
-            shed: r.shed(),
-            steer_dropped: r.steer_dropped(),
-            drop_pct: r.drop_rate() * 100.0,
-            mpps: r.mpps(),
-            handled_mpps: handled_mpps(r),
-            conserved: r.conserved(),
-        }
-    }
-}
-
-/// One timeline entry: the epoch it happened in plus the rendered event.
+/// The `BENCH_control.json` document: the spike spec, then both runs'
+/// reports exactly as [`EngineReport`] serialises them (the controlled
+/// one carries the [`smartwatch_runtime::ControlReport`] under
+/// `control`).
 #[derive(Debug, Serialize)]
-struct TimelineJson {
-    epoch: u64,
-    event: String,
-}
-
-/// One per-epoch controller decision in the bench artifact: the inputs
-/// the controller saw and every output it decided (mirrors
-/// [`DecisionRecord`]).
-#[derive(Debug, Serialize)]
-struct DecisionJson {
-    epoch: u64,
-    offered_mpps: f64,
-    smoothed_mpps: Vec<f64>,
-    max_backlog: u64,
-    modes: Vec<String>,
-    shed: bool,
-    promotions: u64,
-    whitelist_evictions: u64,
-    whitelist_len: u64,
-    blacklist_len: u64,
-    snapshot_published: bool,
-}
-
-impl DecisionJson {
-    fn from(d: &DecisionRecord) -> DecisionJson {
-        DecisionJson {
-            epoch: d.epoch,
-            offered_mpps: d.offered_mpps,
-            smoothed_mpps: d.smoothed_mpps.clone(),
-            max_backlog: d.max_backlog,
-            modes: d.modes.iter().map(|m| m.label().to_string()).collect(),
-            shed: d.shed,
-            promotions: d.promotions,
-            whitelist_evictions: d.whitelist_evictions,
-            whitelist_len: d.whitelist_len as u64,
-            blacklist_len: d.blacklist_len as u64,
-            snapshot_published: d.snapshot_published,
-        }
-    }
-}
-
-/// The controller's side of the artifact (mirrors [`ControlReport`]).
-#[derive(Debug, Serialize)]
-struct CtrlJson {
-    epochs: u64,
-    mode_switches: u64,
-    whitelist_promotions: u64,
-    whitelist_expired: u64,
-    blacklist_expired: u64,
-    shed_epochs: u64,
-    shed_packets: u64,
-    snapshot_publishes: u64,
-    shed_active: bool,
-    final_modes: Vec<String>,
-    timeline: Vec<TimelineJson>,
-    timeline_dropped: u64,
-    decisions: Vec<DecisionJson>,
-    decisions_dropped: u64,
-}
-
-impl CtrlJson {
-    fn from(c: &ControlReport) -> CtrlJson {
-        CtrlJson {
-            epochs: c.epochs,
-            mode_switches: c.mode_switches,
-            whitelist_promotions: c.whitelist_promotions,
-            whitelist_expired: c.whitelist_expired,
-            blacklist_expired: c.blacklist_expired,
-            shed_epochs: c.shed_epochs,
-            shed_packets: c.shed_packets,
-            snapshot_publishes: c.snapshot_publishes,
-            shed_active: c.shed_active,
-            final_modes: c
-                .final_modes
-                .iter()
-                .map(|m| m.label().to_string())
-                .collect(),
-            timeline: c
-                .timeline
-                .iter()
-                .map(|e| TimelineJson {
-                    epoch: e.epoch(),
-                    event: e.render(),
-                })
-                .collect(),
-            timeline_dropped: c.timeline_dropped,
-            decisions: c.decisions.iter().map(DecisionJson::from).collect(),
-            decisions_dropped: c.decisions_dropped,
-        }
-    }
-}
-
-/// The `BENCH_control.json` schema (field order = emission order).
-#[derive(Debug, Serialize)]
-struct ControlBenchJson {
+struct ControlBench {
     bench: String,
     shards: usize,
     rx_queues: usize,
@@ -336,23 +215,17 @@ struct ControlBenchJson {
     spike_start: f64,
     spike_end: f64,
     epoch_ms: u64,
-    controlled: RunJson,
-    control: CtrlJson,
-    baseline: RunJson,
+    controlled: EngineReport,
+    baseline: EngineReport,
     handled_ratio: f64,
 }
 
-/// The CI benchmark artifact (`BENCH_control.json`): both runs'
-/// headline numbers plus the full mode/shed timeline, so CI can assert
+/// The CI benchmark artifact (`BENCH_control.json`): both runs plus the
+/// controller's mode/shed timeline and decision audit, so CI can assert
 /// the spike actually flipped shards Lite and back without parsing the
 /// rendered table.
 pub fn bench_json(spec: &ControlRunSpec, o: &ControlOutcome) -> String {
-    let ctrl = o
-        .controlled
-        .control
-        .as_ref()
-        .expect("controlled run carries a ControlReport");
-    let v = ControlBenchJson {
+    let v = ControlBench {
         bench: "control".to_string(),
         shards: spec.shards,
         rx_queues: spec.rx_queues,
@@ -364,9 +237,8 @@ pub fn bench_json(spec: &ControlRunSpec, o: &ControlOutcome) -> String {
         spike_start: spec.spike_start,
         spike_end: spec.spike_end,
         epoch_ms: spec.epoch_ms,
-        controlled: RunJson::from(&o.controlled),
-        control: CtrlJson::from(ctrl),
-        baseline: RunJson::from(&o.baseline),
+        controlled: o.controlled.clone(),
+        baseline: o.baseline.clone(),
         handled_ratio: handled_mpps(&o.controlled)
             / handled_mpps(&o.baseline).max(f64::MIN_POSITIVE),
     };
@@ -570,9 +442,12 @@ mod tests {
             field("baseline").get("conserved").and_then(|x| x.as_bool()),
             Some(true)
         );
-        let timeline = field("control")
-            .get("timeline")
-            .and_then(|x| x.as_array())
+        assert_eq!(
+            *field("controlled"),
+            serde_json::to_value(&o.controlled).expect("report serializes")
+        );
+        let timeline = field("controlled")["control"]["timeline"]
+            .as_array()
             .expect("timeline array");
         assert!(
             timeline

@@ -298,91 +298,10 @@ pub fn datapath_label(d: DatapathMode) -> &'static str {
     }
 }
 
-/// One stage's tail latencies in the bench artifact, plus its share of
-/// the total time the four instrumented stages recorded (so a diff can
-/// say "queue wait went from 40% to 0%" without re-deriving sums). RTC
-/// runs have no queue crossings, so their queue-wait share is zero by
-/// construction.
+/// The `BENCH_engine.json` document: the run spec, then the report
+/// exactly as [`EngineReport`] serialises it.
 #[derive(Debug, Serialize)]
-struct StageJson {
-    p50_ns: u64,
-    p99_ns: u64,
-    count: u64,
-    share: f64,
-}
-
-impl StageJson {
-    fn from(h: &HistSnapshot, total_stage_ns: u64) -> StageJson {
-        StageJson {
-            p50_ns: h.p50,
-            p99_ns: h.p99,
-            count: h.count,
-            share: if total_stage_ns == 0 {
-                0.0
-            } else {
-                h.sum as f64 / total_stage_ns as f64
-            },
-        }
-    }
-}
-
-/// Sum of recorded time across the four instrumented stages — the
-/// denominator of every [`StageJson::share`].
-fn total_stage_ns(r: &EngineReport) -> u64 {
-    r.stage.queue_ns.sum + r.stage.cache_ns.sum + r.stage.detect_ns.sum + r.stage.escalate_ns.sum
-}
-
-/// Mean wall-clock budget per processed packet, derived from the
-/// measured Mpps (1 Mpps ⇔ 1000 ns/pkt).
-fn ns_per_packet(r: &EngineReport) -> f64 {
-    let mpps = r.mpps();
-    if mpps > 0.0 {
-        1000.0 / mpps
-    } else {
-        0.0
-    }
-}
-
-/// The FlowCache section of the bench artifact: hit mix, tag-filtered
-/// probe lengths, and the batch pipeline's achieved depth.
-#[derive(Debug, Serialize)]
-struct FlowCacheJson {
-    burst: usize,
-    hit_rate: f64,
-    p_hits: u64,
-    e_hits: u64,
-    misses: u64,
-    to_host: u64,
-    ring_pushes: u64,
-    probe_hist: Vec<u64>,
-    mean_probe_len: f64,
-    bursts: u64,
-    burst_pkts: u64,
-    mean_burst_depth: f64,
-}
-
-impl FlowCacheJson {
-    fn from(f: &smartwatch_runtime::FlowCacheSummary) -> FlowCacheJson {
-        FlowCacheJson {
-            burst: f.burst,
-            hit_rate: f.hit_rate(),
-            p_hits: f.p_hits,
-            e_hits: f.e_hits,
-            misses: f.misses,
-            to_host: f.to_host,
-            ring_pushes: f.ring_pushes,
-            probe_hist: f.probe_hist.to_vec(),
-            mean_probe_len: f.mean_probe_len(),
-            bursts: f.bursts,
-            burst_pkts: f.burst_pkts,
-            mean_burst_depth: f.mean_burst_depth(),
-        }
-    }
-}
-
-/// The `BENCH_engine.json` schema (field order = emission order).
-#[derive(Debug, Serialize)]
-struct EngineBenchJson {
+struct EngineBench {
     bench: String,
     shards: usize,
     rx_queues: usize,
@@ -392,31 +311,13 @@ struct EngineBenchJson {
     workload: String,
     source: String,
     rate_mpps: Option<f64>,
-    offered: u64,
-    processed: u64,
-    dropped: u64,
-    drop_pct: f64,
-    mpps: f64,
-    ns_per_packet: f64,
-    escalated: u64,
-    escalation_dropped: u64,
-    host_processed: u64,
-    verdicts: u64,
-    idle_parks: u64,
-    conserved: bool,
-    queue_ns: StageJson,
-    cache_ns: StageJson,
-    detect_ns: StageJson,
-    escalate_ns: StageJson,
-    flowcache: FlowCacheJson,
+    report: EngineReport,
 }
 
-/// The CI benchmark artifact (`BENCH_engine.json`): one flat JSON object
-/// with the headline throughput numbers and per-stage tail latencies, so
-/// runs are diffable across commits without parsing the rendered table.
+/// The CI benchmark artifact (`BENCH_engine.json`), diffable across
+/// commits without parsing the rendered table.
 pub fn bench_json(spec: &EngineRunSpec, r: &EngineReport) -> String {
-    let stage_total = total_stage_ns(r);
-    let v = EngineBenchJson {
+    let v = EngineBench {
         bench: "engine".to_string(),
         shards: spec.shards,
         rx_queues: spec.rx_queues,
@@ -426,23 +327,7 @@ pub fn bench_json(spec: &EngineRunSpec, r: &EngineReport) -> String {
         workload: format!("{:?}", spec.workload).to_lowercase(),
         source: spec.source.label().to_string(),
         rate_mpps: spec.rate_mpps,
-        offered: r.offered,
-        processed: r.processed(),
-        dropped: r.ingest_dropped(),
-        drop_pct: r.drop_rate() * 100.0,
-        mpps: r.mpps(),
-        ns_per_packet: ns_per_packet(r),
-        escalated: r.escalated(),
-        escalation_dropped: r.escalation_dropped(),
-        host_processed: r.host_processed,
-        verdicts: r.verdicts_published,
-        idle_parks: r.idle_parks(),
-        conserved: r.conserved(),
-        queue_ns: StageJson::from(&r.stage.queue_ns, stage_total),
-        cache_ns: StageJson::from(&r.stage.cache_ns, stage_total),
-        detect_ns: StageJson::from(&r.stage.detect_ns, stage_total),
-        escalate_ns: StageJson::from(&r.stage.escalate_ns, stage_total),
-        flowcache: FlowCacheJson::from(&r.flowcache),
+        report: r.clone(),
     };
     serde_json::to_string_pretty(&v).expect("bench report serializes")
 }
@@ -505,27 +390,11 @@ fn render(spec: &EngineRunSpec, pace: Pace, r: &EngineReport) -> Table {
         "delivered batch size: mean {:.1} pkts (configured {})",
         r.stage.batch_pkts.mean, spec.batch
     ));
-    let total = total_stage_ns(r);
-    let share = |h: &HistSnapshot| {
-        if total == 0 {
-            0.0
-        } else {
-            h.sum as f64 / total as f64 * 100.0
-        }
-    };
-    t.note(format!(
-        "derived: {:.0} ns/pkt | stage time share: queue-wait {:.1}% | flowcache {:.1}% \
-         | detectors {:.1}% | escalation {:.1}%",
-        ns_per_packet(r),
-        share(&r.stage.queue_ns),
-        share(&r.stage.cache_ns),
-        share(&r.stage.detect_ns),
-        share(&r.stage.escalate_ns),
-    ));
+    t.note(format!("derived: {:.0} ns/pkt", r.ns_per_packet()));
     if spec.datapath == DatapathMode::Rtc {
         t.note(format!(
             "run-to-completion datapath: {} fused core(s), zero queue crossings \
-             (queue-wait share is structurally 0){}",
+             (no queue-wait samples){}",
             spec.shards,
             if spec.pin_cores {
                 " — cores pinned"
@@ -585,8 +454,8 @@ mod tests {
         assert_eq!(t.rows.len(), 1);
         assert!(t.notes.iter().any(|n| n.contains("conservation: OK")));
         // The run published runtime metrics into the shared registry.
-        let names = ctx.registry.snapshot().to_json();
-        assert!(names.contains("runtime.shard.processed"));
+        let exposition = ctx.registry.snapshot().to_prometheus();
+        assert!(exposition.contains("runtime_shard_processed"));
     }
 
     #[test]
@@ -603,16 +472,19 @@ mod tests {
         assert_eq!(field("bench").as_str(), Some("engine"));
         assert_eq!(field("shards").as_u64(), Some(2));
         assert_eq!(field("rx_queues").as_u64(), Some(1));
-        assert_eq!(field("offered").as_u64(), Some(20_000));
-        assert_eq!(field("conserved").as_bool(), Some(true));
-        assert!(field("mpps").as_f64().expect("mpps is a number") > 0.0);
-        assert!(field("cache_ns")
-            .get("p99_ns")
-            .and_then(|x| x.as_u64())
-            .is_some());
+        // The report section is the report, serialised.
+        let r = field("report");
+        assert_eq!(
+            *r,
+            serde_json::to_value(&report).expect("report serializes")
+        );
+        assert_eq!(r["offered"].as_u64(), Some(20_000));
+        assert_eq!(r["conserved"].as_bool(), Some(true));
+        assert!(r["mpps"].as_f64().expect("mpps is a number") > 0.0);
+        assert!(r["stage"]["cache_ns"]["p99"].as_u64().is_some());
         // The flowcache section: batched-lookup telemetry (CI asserts
         // its presence, so its shape is part of the artifact contract).
-        let fc = field("flowcache");
+        let fc = &r["flowcache"];
         assert_eq!(fc["burst"].as_u64(), Some(smartwatch_snic::BURST as u64));
         let hit_rate = fc["hit_rate"].as_f64().expect("hit_rate is a number");
         assert!((0.0..=1.0).contains(&hit_rate));
@@ -647,22 +519,17 @@ mod tests {
             serde_json::from_str(&bench_json(&spec, &report)).expect("valid JSON");
         assert_eq!(v["datapath"].as_str(), Some("rtc"));
         assert_eq!(v["pin_cores"].as_bool(), Some(false));
-        let nspp = v["ns_per_packet"].as_f64().expect("ns_per_packet");
-        let mpps = v["mpps"].as_f64().expect("mpps");
+        let r = &v["report"];
+        let nspp = r["ns_per_packet"].as_f64().expect("ns_per_packet");
+        let mpps = r["mpps"].as_f64().expect("mpps");
         assert!(
             (nspp - 1000.0 / mpps).abs() < 1e-9,
             "ns/pkt derives from Mpps"
         );
         // No lanes exist, so no queue-wait time is ever recorded.
-        assert_eq!(v["queue_ns"]["share"].as_f64(), Some(0.0));
-        let shares: f64 = ["queue_ns", "cache_ns", "detect_ns", "escalate_ns"]
-            .iter()
-            .map(|k| v[*k]["share"].as_f64().expect("stage share"))
-            .sum();
-        assert!(
-            (shares - 1.0).abs() < 1e-9,
-            "stage shares partition the recorded stage time, got {shares}"
-        );
+        assert_eq!(report.stage.queue_ns.count, 0);
+        assert_eq!(r["stage"]["queue_ns"]["count"].as_u64(), Some(0));
+        assert!(report.stage.cache_ns.count > 0, "the cores sample stages");
     }
 
     #[test]
@@ -679,7 +546,8 @@ mod tests {
         let json = bench_json(&spec, &report);
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(v["rx_queues"].as_u64(), Some(2));
-        assert_eq!(v["conserved"].as_bool(), Some(true));
+        assert_eq!(v["report"]["queues"].as_array().map(Vec::len), Some(2));
+        assert_eq!(v["report"]["conserved"].as_bool(), Some(true));
     }
 
     #[test]
@@ -723,7 +591,7 @@ mod tests {
         let json = bench_json(&spec, &report);
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(v["source"].as_str(), Some("compiled"));
-        assert_eq!(v["conserved"].as_bool(), Some(true));
+        assert_eq!(v["report"]["conserved"].as_bool(), Some(true));
         // The wire path ran through the frame pools.
         assert!(
             ctx.registry

@@ -620,10 +620,6 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
         Some(r) => Pace::RateMpps(r),
         None => Pace::Flatout,
     };
-    let registry = engine.registry().clone();
-    let pool_allocated = registry.counter("runtime.pool.allocated", &[]);
-    let frame_allocated = registry.counter("runtime.frame_pool.allocated", &[]);
-    let rss = registry.gauge("runtime.mem.rss_bytes", &[]);
 
     let mut segments = Vec::with_capacity(spec.segments);
     engine.clear_drain();
@@ -647,6 +643,7 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
         if deadline_drain {
             engine.clear_drain();
         }
+        let service = engine.service();
         segments.push(SegmentRecord {
             segment,
             offered: report.offered,
@@ -656,11 +653,11 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
             elapsed_ms: report.elapsed.as_millis() as u64,
             interrupted: report.interrupted,
             conserved: report.conserved(),
-            rss_bytes: rss.get() as u64,
-            pool_allocated: pool_allocated.get(),
-            frame_pool_allocated: frame_allocated.get(),
+            rss_bytes: service.rss_bytes,
+            pool_allocated: service.pool_allocated,
+            frame_pool_allocated: service.frame_pool_allocated,
             log_buffered: report.log_buffered,
-            admin_applied: engine.admin_applied(),
+            admin_applied: service.admin_applied,
             config_seq: watcher.as_ref().map(|w| w.reloads()).unwrap_or(0),
         });
     }
@@ -857,17 +854,9 @@ mod tests {
         let flight = engine.flight().to_json();
         assert!(flight.contains("config_reload"));
         assert!(flight.contains("admin_edit"));
-        // And the service state shows up in stats_json.
-        let stats: serde_json::Value =
-            serde_json::from_str(&engine.stats_json()).expect("valid stats");
-        let service = stats.get("service").expect("service section");
-        assert!(
-            service
-                .get("admin_applied")
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0)
-                >= 2
-        );
+        // And the service state shows up in /stats.json.
+        let stats = serde_json::to_value(&crate::serve::StatsDoc::of(&engine)).expect("stats");
+        assert!(stats["service"]["admin_applied"].as_u64().unwrap_or(0) >= 2);
     }
 
     #[test]

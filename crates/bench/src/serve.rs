@@ -7,10 +7,11 @@
 //!
 //! * `GET /metrics` — the shared registry in Prometheus text exposition
 //!   format ([`Snapshot::to_prometheus`](smartwatch_telemetry::Snapshot::to_prometheus)).
-//! * `GET /stats.json` — [`Engine::stats_json`]: live
-//!   EngineReport-shaped conservation counters, per-shard/per-queue
-//!   breakdowns, stage latency snapshots, memory/pool gauges, service
-//!   state, and the controller decision audit.
+//! * `GET /stats.json` — a [`StatsDoc`]: `report`, the engine's
+//!   [`EngineReport`] from [`Engine::snapshot`] (the live run's books
+//!   mid-run, exactly what `run()` returned afterwards), and `service`,
+//!   its engine-lifetime [`ServiceStats`] (drain, admin, pacing, pools,
+//!   RSS, flight totals).
 //! * `GET /flight.json` — the engine's flight recorder
 //!   ([`FlightRecorder::to_json`](smartwatch_telemetry::FlightRecorder::to_json)).
 //!
@@ -35,13 +36,34 @@
 //! immediate atomics answer `200`; a full mailbox answers `409`;
 //! malformed bodies answer `400`/`422`.
 
-use smartwatch_runtime::{AdminCmd, Engine};
+use serde::Serialize;
+use smartwatch_runtime::{AdminCmd, Engine, EngineReport, ServiceStats};
 use smartwatch_snic::Mode;
 use smartwatch_telemetry::http::{HttpRequest, HttpResponse, HttpServer, Route};
 use std::sync::Arc;
 
 /// Prometheus text exposition content type.
 pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+
+/// The `/stats.json` document.
+#[derive(Debug, Serialize)]
+pub struct StatsDoc {
+    /// [`Engine::snapshot`]: the live run's books, or the last run's
+    /// report.
+    pub report: EngineReport,
+    /// [`Engine::service`]: engine-lifetime service state.
+    pub service: ServiceStats,
+}
+
+impl StatsDoc {
+    /// Read both halves from `engine` now.
+    pub fn of(engine: &Engine) -> StatsDoc {
+        StatsDoc {
+            report: engine.snapshot(),
+            service: engine.service(),
+        }
+    }
+}
 
 /// The standard read-only observability route set over one engine.
 pub fn routes(engine: &Arc<Engine>) -> Vec<Route> {
@@ -56,7 +78,8 @@ pub fn routes(engine: &Arc<Engine>) -> Vec<Route> {
             )
         }),
         Route::get("/stats.json", move || {
-            HttpResponse::ok("application/json", stats.stats_json())
+            let doc = serde_json::to_string(&StatsDoc::of(&stats)).expect("stats serialize");
+            HttpResponse::ok("application/json", doc)
         }),
         Route::get("/flight.json", move || {
             HttpResponse::ok("application/json", flight.flight().to_json())
@@ -259,7 +282,9 @@ mod tests {
         let (status, body) = get(addr, "/stats.json");
         assert_eq!(status, 200);
         let v: serde_json::Value = serde_json::from_str(&body).expect("valid JSON");
-        assert_eq!(v.get("offered").and_then(|x| x.as_u64()), Some(0));
+        assert_eq!(v["report"]["offered"].as_u64(), Some(0));
+        assert_eq!(v["report"]["shards"].as_array().map(Vec::len), Some(1));
+        assert_eq!(v["service"]["draining"].as_bool(), Some(false));
 
         let (status, body) = get(addr, "/flight.json");
         assert_eq!(status, 200);

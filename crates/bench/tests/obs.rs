@@ -4,9 +4,11 @@
 //! black box.
 
 use smartwatch_bench::exp_control::{control_config, ControlRunSpec};
-use smartwatch_bench::exp_engine::{engine_run_full, EngineRunSpec, EngineWorkload};
+use smartwatch_bench::exp_engine::{
+    engine_run_full, engine_workload, EngineRunSpec, EngineWorkload,
+};
 use smartwatch_bench::{serve, workloads, ExpCtx};
-use smartwatch_runtime::{Engine, EngineConfig, MergePolicy, Pace};
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, MergePolicy, Pace};
 use smartwatch_snic::Mode;
 use smartwatch_telemetry::FlightKind;
 use smartwatch_trace::background::Preset;
@@ -63,7 +65,7 @@ fn per_queue_prometheus_families_are_complete_and_deterministic() {
         let b = run();
         assert_eq!(
             a, b,
-            "runtime.queue.* families must be byte-deterministic for rx_queues={rx_queues}"
+            "per-queue counter families must be byte-deterministic for rx_queues={rx_queues}"
         );
         for family in [
             "runtime_queue_offered",
@@ -146,61 +148,56 @@ fn traced_run_covers_every_engine_thread() {
     }
 }
 
-/// Tentpole: after a run, `/stats.json` (the same document the live
-/// endpoint serves) agrees with the final [`EngineReport`] on every
-/// conservation number, and all three routes answer over HTTP.
-#[test]
-fn live_stats_match_the_final_report() {
-    let ctx = ExpCtx::new(1);
-    let spec = EngineRunSpec {
-        packets: 20_000,
-        ..EngineRunSpec::default()
-    };
-    let (_, report, engine) = engine_run_full(&ctx, &spec);
-
-    let stats: serde_json::Value =
-        serde_json::from_str(&engine.stats_json()).expect("stats.json is valid JSON");
-    let field = |k: &str| {
-        stats
-            .get(k)
-            .unwrap_or_else(|| panic!("stats.json missing {k}"))
-    };
-    assert_eq!(field("offered").as_u64(), Some(report.offered));
-    assert_eq!(field("processed").as_u64(), Some(report.processed()));
-    assert_eq!(
-        field("ingest_dropped").as_u64(),
-        Some(report.ingest_dropped())
-    );
-    assert_eq!(field("shed").as_u64(), Some(report.shed()));
-    assert_eq!(
-        field("steer_dropped").as_u64(),
-        Some(report.steer_dropped())
-    );
-    assert_eq!(field("conserved").as_bool(), Some(report.conserved()));
-    assert_eq!(
-        field("shards").as_array().map(Vec::len),
-        Some(spec.shards),
-        "one stats object per shard"
-    );
-
-    // The same numbers over the wire.
-    let server = serve::serve("127.0.0.1:0", &engine).expect("bind ephemeral port");
-    let addr = server.local_addr();
+/// `GET /stats.json` parsed.
+fn stats(addr: std::net::SocketAddr) -> serde_json::Value {
     let (status, body) = get(addr, "/stats.json");
     assert_eq!(status, 200);
-    let live: serde_json::Value = serde_json::from_str(&body).expect("live stats parse");
-    assert_eq!(
-        live.get("offered").and_then(|v| v.as_u64()),
-        Some(report.offered)
-    );
-    let (status, body) = get(addr, "/metrics");
-    assert_eq!(status, 200);
-    assert!(body.starts_with("# HELP"), "Prometheus exposition format");
-    assert!(body.contains("runtime_shard_processed"));
-    let (status, body) = get(addr, "/flight.json");
-    assert_eq!(status, 200);
-    assert!(serde_json::from_str::<serde_json::Value>(&body).is_ok());
-    server.shutdown();
+    serde_json::from_str(&body).expect("stats.json is valid JSON")
+}
+
+/// After a run, `/stats.json`'s `report` is the report `run()` returned,
+/// field for field, on both datapaths — also after a second run on the
+/// same engine, whose report covers that run alone (not the engine's
+/// lifetime totals); and all three routes answer over HTTP.
+#[test]
+fn live_stats_match_the_final_report() {
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
+        let ctx = ExpCtx::new(1);
+        let spec = EngineRunSpec {
+            packets: 20_000,
+            datapath,
+            ..EngineRunSpec::default()
+        };
+        let (_, first, engine) = engine_run_full(&ctx, &spec);
+        let server = serve::serve("127.0.0.1:0", &engine).expect("bind ephemeral port");
+        let addr = server.local_addr();
+        let live = stats(addr);
+        assert_eq!(
+            live["report"],
+            serde_json::to_value(&first).expect("report serializes"),
+            "{datapath:?}, first run"
+        );
+        assert_eq!(live["report"]["shards"].as_array().map(Vec::len), Some(2));
+        assert!(live["service"]["pool_allocated"].as_u64().unwrap_or(0) > 0);
+
+        let second = engine.run(&engine_workload(&spec, ctx.scale), Pace::Flatout);
+        let live = stats(addr);
+        assert_eq!(
+            live["report"],
+            serde_json::to_value(&second).expect("report serializes"),
+            "{datapath:?}, second run"
+        );
+        assert_eq!(live["report"]["offered"].as_u64(), Some(20_000));
+
+        let (status, body) = get(addr, "/metrics");
+        assert_eq!(status, 200);
+        assert!(body.starts_with("# HELP"), "Prometheus exposition format");
+        assert!(body.contains("runtime_shard_processed"));
+        let (status, body) = get(addr, "/flight.json");
+        assert_eq!(status, 200);
+        assert!(serde_json::from_str::<serde_json::Value>(&body).is_ok());
+        server.shutdown();
+    }
 }
 
 /// Tentpole: under [`MergePolicy::Ordered`] the flight recorder's

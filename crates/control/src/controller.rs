@@ -30,6 +30,7 @@
 //!    only — and sustained calm turns it back off.
 
 use crate::snapshot::SteeringSnapshot;
+use serde::{Serialize, Value};
 use smartwatch_host::Verdict;
 use smartwatch_net::{AgingDigestSet, BuildDigestHasher, DigestSet, FlowHasher};
 use smartwatch_snic::{Mode, SwitchOver};
@@ -160,7 +161,7 @@ pub struct EpochDecision {
 /// Bounded copies live in the controller ([`ControlReport::decisions`])
 /// and, via the runtime, in `/stats.json` and `BENCH_control.json` —
 /// the answer to "why did the control plane do *that*?".
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct DecisionRecord {
     /// Epoch number (1-based).
     pub epoch: u64,
@@ -233,8 +234,19 @@ impl ControlEvent {
     }
 }
 
+/// Serialises as `{"epoch": …, "event": "e12 shard3->lite"}` (its
+/// [`ControlEvent::epoch`] and [`ControlEvent::render`]).
+impl Serialize for ControlEvent {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("epoch".into(), self.epoch().to_value()),
+            ("event".into(), Value::String(self.render())),
+        ])
+    }
+}
+
 /// End-of-run accounting for the control plane.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct ControlReport {
     /// Epochs executed.
     pub epochs: u64,

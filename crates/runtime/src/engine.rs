@@ -45,23 +45,23 @@ use crate::control::{ControlLog, LogReader};
 use crate::escalate::{HostObs, HostPool, TriageNf};
 use crate::frame::{FramePool, FrameSlot};
 use crate::obs::{ThreadTrace, TraceSpec};
-use crate::service::{AdminCmd, AdminQueue};
+use crate::service::{AdminCmd, AdminQueue, ServiceStats};
 use crate::shard::{
     ControlHooks, Escalation, LaneRx, MergePolicy, ShardCounters, ShardEndState, ShardMsg,
     ShardObs, ShardStats, ShardWorker, StageHists, PROBE_HIST_SLOTS,
 };
 use crate::spsc::{spsc, Producer};
-use serde::{Number, Value};
+use serde::{Serialize, Value};
 use smartwatch_control::{
-    ControlConfig, ControlReport, Controller, DecisionRecord, EpochInput, ModeCell, ShardSample,
-    SnapshotCell, SnapshotReader, SteeringSnapshot,
+    ControlConfig, ControlReport, Controller, EpochInput, ModeCell, ShardSample, SnapshotCell,
+    SnapshotReader, SteeringSnapshot,
 };
 use smartwatch_net::hash::{queue_for_digest, shard_for_digest, splitmix64};
 use smartwatch_net::{FlowHasher, FrameStore, FrameView, HashDigest, Packet, RawTuple};
 use smartwatch_snic::{FlowCache, FlowCacheConfig, Mode};
 use smartwatch_telemetry::{
-    mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, HistSnapshot, Registry, Tracer,
-    WallAnchor,
+    mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, HistBase, HistSnapshot, Registry,
+    Tracer, WallAnchor,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -305,6 +305,79 @@ struct Garage {
     caches: Vec<FlowCache>,
 }
 
+/// Every handle an [`EngineReport`] is read from, registered once per
+/// engine: the thread shape (shards, ingest units) is fixed per engine.
+/// The handles are cumulative for the life of the registry (that is
+/// what `/metrics` serves); a report subtracts its run's [`RunBase`].
+struct Books {
+    shards: Vec<ShardCounters>,
+    queues: Vec<QueueCounters>,
+    stage: StageHists,
+    host_processed: Counter,
+}
+
+/// The books' values at the start of a run, plus what the run knows
+/// from its start.
+struct RunBase {
+    shards: Vec<ShardStats>,
+    queues: Vec<QueueStats>,
+    stage: [HistBase; 5],
+    host_processed: u64,
+    /// Packets the source offers (the `offered` of an uninterrupted run).
+    source_len: u64,
+    /// The run's verdict log.
+    log: Arc<ControlLog>,
+    /// Start of the timed region; `None` until ingest starts.
+    start: Option<Instant>,
+}
+
+impl Books {
+    fn registered(cfg: &EngineConfig, registry: &Registry) -> Books {
+        Books {
+            shards: (0..cfg.shards)
+                .map(|i| ShardCounters::registered(registry, i))
+                .collect(),
+            queues: (0..cfg.ingest_units())
+                .map(|q| QueueCounters::registered(registry, q))
+                .collect(),
+            stage: StageHists::registered(registry),
+            host_processed: registry.counter("runtime.host.processed", &[]),
+        }
+    }
+
+    fn base(&self, source_len: u64, log: Arc<ControlLog>) -> RunBase {
+        RunBase {
+            shards: self
+                .shards
+                .iter()
+                .map(|c| c.snapshot(ShardEndState::default()))
+                .collect(),
+            queues: self.queues.iter().map(QueueCounters::snapshot).collect(),
+            stage: self.stage.all().map(|h| h.base()),
+            host_processed: self.host_processed.get(),
+            source_len,
+            log,
+            start: None,
+        }
+    }
+}
+
+/// What only the end of a run knows.
+struct RunEnd {
+    elapsed: Duration,
+    shards: Vec<ShardEndState>,
+    control: Option<ControlReport>,
+    interrupted: bool,
+    log_buffered: u64,
+}
+
+/// The current (or last) run: its baselines, and its final report once
+/// it has settled.
+struct RunBooks {
+    base: RunBase,
+    settled: Option<EngineReport>,
+}
+
 /// The sharded wall-clock engine.
 pub struct Engine {
     cfg: EngineConfig,
@@ -314,9 +387,14 @@ pub struct Engine {
     tracer: Option<Tracer>,
     /// Always-on black box: bounded lock-free per-thread event rings.
     flight: FlightRecorder,
-    /// Controller decision audit mirrored out of the control thread so
-    /// live readers (`/stats.json`) can see it mid-run.
-    decisions: Arc<Mutex<VecDeque<DecisionRecord>>>,
+    /// The registered handles every report is read from.
+    books: Books,
+    /// The current (or last) run's baselines and settled report (see
+    /// [`Engine::snapshot`]).
+    run: Mutex<RunBooks>,
+    /// The controller's report as of its latest publication, read by
+    /// live snapshots (a settled report carries the final one).
+    live_control: Arc<Mutex<Option<ControlReport>>>,
     /// Graceful-drain request: ingest units observe it at checkpoints
     /// and during paced waits, stop offering and quiesce (see
     /// [`Engine::request_drain`]).
@@ -348,12 +426,19 @@ impl Engine {
         assert!(cfg.rx_queues >= 1, "engine needs at least one RX queue");
         assert!(cfg.batch >= 1, "batch size must be at least 1");
         assert!(cfg.queue_batches >= 1, "queue must hold at least 1 batch");
+        let books = Books::registered(&cfg, registry);
+        let base = books.base(0, Arc::new(ControlLog::new()));
         Engine {
             cfg,
             registry: registry.clone(),
             tracer: None,
             flight: FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY),
-            decisions: Arc::new(Mutex::new(VecDeque::new())),
+            books,
+            run: Mutex::new(RunBooks {
+                base,
+                settled: None,
+            }),
+            live_control: Arc::new(Mutex::new(None)),
             drain: Arc::new(AtomicBool::new(false)),
             admin: Arc::new(AdminQueue::new(1024)),
             admin_applied: registry.counter("runtime.admin.applied", &[]),
@@ -450,187 +535,108 @@ impl Engine {
         &self.flight
     }
 
-    /// The controller's per-epoch decision audit so far (bounded to the
-    /// control config's `decision_capacity`; empty without a control
-    /// plane). Safe to call mid-run — this is what `/stats.json` serves.
-    pub fn decisions(&self) -> Vec<DecisionRecord> {
-        self.decisions
-            .lock()
-            .expect("decision audit poisoned")
-            .iter()
-            .cloned()
-            .collect()
+    /// The engine's report, from any thread at any time. While a run
+    /// is live it is that run's books so far: the registered counters
+    /// minus the run's baselines (at most one checkpoint or one batch
+    /// stale), elapsed time since ingest started, the controller's
+    /// latest published report, and zero for what only the run's end
+    /// knows (steering-table sizes, cache residency, the FlowCache
+    /// summary). Once the run has returned, it is exactly the report
+    /// `run()` returned; before the first run, an all-zero report. This
+    /// is what `/stats.json` serves.
+    pub fn snapshot(&self) -> EngineReport {
+        let run = self.run.lock().expect("run books poisoned");
+        match &run.settled {
+            Some(report) => report.clone(),
+            None => self.assemble(&run.base, None),
+        }
     }
 
-    /// The live `/stats.json` document: [`EngineReport`]-shaped counters
-    /// read straight from the registry atomics, so it is safe to call
-    /// from any thread at any time. Mid-run, values are at most one
-    /// checkpoint (ingest units) or one batch (shards) stale; after
-    /// `run()` returns, the conservation counters match the final
-    /// report exactly.
-    pub fn stats_json(&self) -> String {
-        let cfg = &self.cfg;
-        let u = |v: u64| Value::Number(Number::U(v));
-
-        let mut shards = Vec::with_capacity(cfg.shards);
-        let (mut ingested, mut processed, mut ingest_dropped, mut shed, mut steer_dropped) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        let mut shards_balanced = true;
-        for i in 0..cfg.shards {
-            let l = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", &l)];
-            let get = |name: &str| self.registry.counter(name, labels).get();
-            let s_ing = get("runtime.shard.ingested");
-            let s_proc = get("runtime.shard.processed");
-            let s_drop = get("runtime.shard.ingest_dropped");
-            let s_shed = get("runtime.shard.shed");
-            let s_steer = get("runtime.shard.steer_dropped");
-            ingested += s_ing;
-            processed += s_proc;
-            ingest_dropped += s_drop;
-            shed += s_shed;
-            steer_dropped += s_steer;
-            shards_balanced &= s_ing == s_proc;
-            shards.push(Value::Object(vec![
-                ("shard".into(), u(i as u64)),
-                ("ingested".into(), u(s_ing)),
-                ("ingest_dropped".into(), u(s_drop)),
-                ("shed".into(), u(s_shed)),
-                ("steer_dropped".into(), u(s_steer)),
-                ("processed".into(), u(s_proc)),
-                (
-                    "verdict_dropped".into(),
-                    u(get("runtime.shard.verdict_dropped")),
-                ),
-                ("fast_path".into(), u(get("runtime.shard.fast_path"))),
-                ("escalated".into(), u(get("runtime.shard.escalated"))),
-                (
-                    "escalation_dropped".into(),
-                    u(get("runtime.shard.escalation_dropped")),
-                ),
-                ("ctrl_applied".into(), u(get("runtime.shard.ctrl_applied"))),
-                ("alerts".into(), u(get("runtime.shard.alerts"))),
-            ]));
+    /// Engine-lifetime service state (not per run): drain flag, admin
+    /// mailbox, rate override, pool allocation counters, resident set
+    /// and flight-recorder totals.
+    pub fn service(&self) -> ServiceStats {
+        let counter = |name: &str| self.registry.counter(name, &[]).get();
+        ServiceStats {
+            draining: self.drain_requested(),
+            admin_queued: self.admin_queued() as u64,
+            admin_applied: self.admin_applied(),
+            rate_override_mpps: self.rate_override(),
+            pool_allocated: counter("runtime.pool.allocated"),
+            pool_recycled: counter("runtime.pool.recycled"),
+            frame_pool_allocated: counter("runtime.frame_pool.allocated"),
+            frame_pool_recycled: counter("runtime.frame_pool.recycled"),
+            rss_bytes: self.mem_rss.get() as u64,
+            flight_recorded: self.flight.total_recorded(),
+            flight_dropped: self.flight.total_dropped(),
         }
+    }
 
-        // Per-ingest-unit counters: one label set per dispatcher in
-        // pipeline mode, one per fused core in RTC mode.
-        let units = cfg.ingest_units();
-        let mut queues = Vec::with_capacity(units);
-        let (mut q_offered, mut q_ingested) = (0u64, 0u64);
-        let mut queues_balanced = true;
-        for q in 0..units {
-            let l = q.to_string();
-            let labels: &[(&str, &str)] = &[("queue", &l)];
-            let get = |name: &str| self.registry.counter(name, labels).get();
-            let off = get("runtime.queue.offered");
-            let ing = get("runtime.queue.ingested");
-            let drop = get("runtime.queue.ingest_dropped");
-            let qshed = get("runtime.queue.shed");
-            let qsteer = get("runtime.queue.steer_dropped");
-            q_offered += off;
-            q_ingested += ing;
-            queues_balanced &= off == ing + drop + qshed + qsteer;
-            queues.push(Value::Object(vec![
-                ("queue".into(), u(q as u64)),
-                ("offered".into(), u(off)),
-                ("ingested".into(), u(ing)),
-                ("ingest_dropped".into(), u(drop)),
-                ("shed".into(), u(qshed)),
-                ("steer_dropped".into(), u(qsteer)),
-            ]));
+    /// The one place an [`EngineReport`] is put together: the
+    /// registered books minus the run's baselines, plus — once the run
+    /// has ended — what only its end knows. [`Engine::snapshot`] calls
+    /// it while a run is live; `run_source` calls it once to settle.
+    fn assemble(&self, base: &RunBase, end: Option<&RunEnd>) -> EngineReport {
+        let books = &self.books;
+        let shards = books
+            .shards
+            .iter()
+            .zip(&base.shards)
+            .enumerate()
+            .map(|(i, (c, b))| {
+                let state = end.map_or_else(ShardEndState::default, |e| e.shards[i]);
+                shard_stats_delta(c.snapshot(state), b)
+            })
+            .collect();
+        let queues: Vec<QueueStats> = books
+            .queues
+            .iter()
+            .zip(&base.queues)
+            .map(|(q, b)| queue_stats_delta(q.snapshot(), b))
+            .collect();
+        // A finished, uninterrupted run offered the whole source,
+        // independently cross-checked against the queue axis by
+        // `conserved()`. Live or drained, it offered what its ingest
+        // units got to: the per-queue tallies.
+        let offered = match end {
+            Some(e) if !e.interrupted => base.source_len,
+            _ => queues.iter().map(|q| q.offered).sum(),
+        };
+        let hists = books.stage.all();
+        let [queue_ns, cache_ns, detect_ns, escalate_ns, batch_pkts] =
+            std::array::from_fn(|i| hists[i].snapshot_since(&base.stage[i]));
+        EngineReport {
+            offered,
+            elapsed: match end {
+                Some(e) => e.elapsed,
+                None => base.start.map_or(Duration::ZERO, |t| t.elapsed()),
+            },
+            shards,
+            queues,
+            host_processed: books.host_processed.get() - base.host_processed,
+            verdicts_published: base.log.len() as u64,
+            interrupted: end.is_some_and(|e| e.interrupted),
+            log_buffered: end.map_or(base.log.buffered() as u64, |e| e.log_buffered),
+            control: match end {
+                Some(e) => e.control.clone(),
+                None => self
+                    .live_control
+                    .lock()
+                    .expect("live control poisoned")
+                    .clone(),
+            },
+            stage: StageSnapshot {
+                queue_ns,
+                cache_ns,
+                detect_ns,
+                escalate_ns,
+                batch_pkts,
+            },
+            flowcache: FlowCacheSummary::aggregate(
+                self.cfg.cache_burst,
+                end.map_or(&[], |e| &e.shards),
+            ),
         }
-
-        // The same two-axis conservation law as EngineReport::conserved,
-        // over the live counter values.
-        let conserved = ingested + ingest_dropped + shed + steer_dropped == q_offered
-            && shards_balanced
-            && queues_balanced
-            && q_ingested == ingested;
-
-        let hist = |name: &str| hist_value(&self.registry.histogram(name, &[]).snapshot());
-        let doc = Value::Object(vec![
-            ("offered".into(), u(q_offered)),
-            ("processed".into(), u(processed)),
-            ("ingest_dropped".into(), u(ingest_dropped)),
-            ("shed".into(), u(shed)),
-            ("steer_dropped".into(), u(steer_dropped)),
-            (
-                "host_processed".into(),
-                u(self.registry.counter("runtime.host.processed", &[]).get()),
-            ),
-            ("conserved".into(), Value::Bool(conserved)),
-            ("shards".into(), Value::Array(shards)),
-            ("queues".into(), Value::Array(queues)),
-            (
-                "stage".into(),
-                Value::Object(vec![
-                    ("queue_ns".into(), hist("runtime.stage.queue_ns")),
-                    ("cache_ns".into(), hist("runtime.stage.cache_ns")),
-                    ("detect_ns".into(), hist("runtime.stage.detect_ns")),
-                    ("escalate_ns".into(), hist("runtime.stage.escalate_ns")),
-                    ("batch_pkts".into(), hist("runtime.stage.batch_pkts")),
-                ]),
-            ),
-            (
-                "decisions".into(),
-                Value::Array(self.decisions().iter().map(decision_value).collect()),
-            ),
-            (
-                "flight".into(),
-                Value::Object(vec![
-                    ("recorded".into(), u(self.flight.total_recorded())),
-                    ("dropped".into(), u(self.flight.total_dropped())),
-                ]),
-            ),
-            (
-                "mem".into(),
-                Value::Object(vec![("rss_bytes".into(), u(self.mem_rss.get() as u64))]),
-            ),
-            (
-                "pool".into(),
-                Value::Object(vec![
-                    (
-                        "allocated".into(),
-                        u(self.registry.counter("runtime.pool.allocated", &[]).get()),
-                    ),
-                    (
-                        "recycled".into(),
-                        u(self.registry.counter("runtime.pool.recycled", &[]).get()),
-                    ),
-                    (
-                        "frame_allocated".into(),
-                        u(self
-                            .registry
-                            .counter("runtime.frame_pool.allocated", &[])
-                            .get()),
-                    ),
-                    (
-                        "frame_recycled".into(),
-                        u(self
-                            .registry
-                            .counter("runtime.frame_pool.recycled", &[])
-                            .get()),
-                    ),
-                ]),
-            ),
-            (
-                "service".into(),
-                Value::Object(vec![
-                    ("draining".into(), Value::Bool(self.drain_requested())),
-                    ("admin_queued".into(), u(self.admin.len() as u64)),
-                    ("admin_applied".into(), u(self.admin_applied.get())),
-                    (
-                        "rate_override_mpps".into(),
-                        match self.rate_override() {
-                            Some(r) => Value::Number(Number::F(r)),
-                            None => Value::Null,
-                        },
-                    ),
-                ]),
-            ),
-        ]);
-        serde::json::write(&doc, false)
     }
 
     /// Replay `packets` through the engine and block until every ingest
@@ -673,8 +679,12 @@ impl Engine {
             "sequence indices are u32 at split time"
         );
         let log = Arc::new(ControlLog::new());
-        let stage = StageHists::registered(&self.registry);
-        let host_processed = self.registry.counter("runtime.host.processed", &[]);
+        let Books {
+            shards: counters,
+            queues: qcounters,
+            stage,
+            host_processed,
+        } = &self.books;
 
         // One wall-clock origin for the whole run: every thread maps
         // its `Instant`s through this anchor, so all trace tracks share
@@ -691,10 +701,6 @@ impl Engine {
                     anchor,
                     every: cfg.trace_sample,
                 });
-        self.decisions
-            .lock()
-            .expect("decision audit poisoned")
-            .clear();
 
         // Host pool (None = inline triage on each shard).
         let pool = (cfg.host_workers > 0).then(|| {
@@ -715,29 +721,17 @@ impl Engine {
         // instead of re-hashing.
         let hasher = FlowHasher::new(cfg.hash_seed);
 
-        // Per-shard counters exist before both the control plane (which
-        // samples them) and the worker threads (which write them).
-        let counters: Vec<ShardCounters> = (0..n)
-            .map(|i| ShardCounters::registered(&self.registry, i))
-            .collect();
-        // Per-ingest-unit counters (`runtime.queue.*{queue=q}`): one
-        // label set per dispatcher, or per fused core.
-        let qcounters: Vec<QueueCounters> = (0..units)
-            .map(|q| QueueCounters::registered(&self.registry, q))
-            .collect();
-
-        // Registry counters are cumulative for the life of the registry
-        // (that is what `/metrics` and `/stats.json` serve), but the
-        // report this call returns is *per run*: capture the baseline
-        // before any thread writes, subtract at report time. A single
-        // fresh-engine run subtracts zeros — byte-identical behaviour —
-        // while back-to-back serve segments each get their own books.
-        let shard_base: Vec<ShardStats> = counters
-            .iter()
-            .map(|c| c.snapshot(ShardEndState::default()))
-            .collect();
-        let queue_base: Vec<QueueStats> = qcounters.iter().map(QueueCounters::snapshot).collect();
-        let host_base = host_processed.get();
+        // Registry counters and histograms are cumulative for the life
+        // of the registry (that is what `/metrics` serves), but the
+        // report is *per run*: capture the baselines before any thread
+        // writes, subtract at report time. A single fresh-engine run
+        // subtracts zeros, while back-to-back serve segments each get
+        // their own books.
+        *self.run.lock().expect("run books poisoned") = RunBooks {
+            base: self.books.base(source.len() as u64, Arc::clone(&log)),
+            settled: None,
+        };
+        *self.live_control.lock().expect("live control poisoned") = None;
         self.mem_rss.set(mem::rss_bytes() as f64);
 
         // Un-park whatever the previous run left in the garage: buffer
@@ -765,8 +759,7 @@ impl Engine {
         };
 
         // ── Control plane (optional) ────────────────────────────────
-        let (mut shard_hooks, mut unit_steer, controller) =
-            self.spawn_control(units, &spec, &log, &counters, &host_processed);
+        let (mut shard_hooks, mut unit_steer, controller) = self.spawn_control(&spec, &log);
 
         // ── Shard workers ───────────────────────────────────────────
         // One per partition, every one built before any thread starts:
@@ -844,6 +837,7 @@ impl Engine {
 
         // ── Ingest front ends: one per dispatcher or fused core ─────
         let start = Instant::now();
+        self.run.lock().expect("run books poisoned").base.start = Some(start);
         let fronts: Vec<(Ingest<'_>, BufferPool)> = (0..units)
             .map(|u| {
                 let name = if rtc {
@@ -947,7 +941,7 @@ impl Engine {
                         .enumerate()
                         .map(|(q, (((front, bufs), stream), producers))| {
                             let sink =
-                                LaneSink::new(cfg.batch, plan.paced(), bufs, producers, &counters);
+                                LaneSink::new(cfg.batch, plan.paced(), bufs, producers, counters);
                             std::thread::Builder::new()
                                 .name(format!("sw-rxq-{q}"))
                                 .spawn_scoped(scope, move || front.run(source, stream, sink).0)
@@ -1037,45 +1031,20 @@ impl Engine {
         }
         self.mem_rss.set(mem::rss_bytes() as f64);
 
-        let flowcache = FlowCacheSummary::aggregate(cfg.cache_burst, &shard_ends);
-        let shards: Vec<ShardStats> = counters
-            .iter()
-            .zip(&shard_ends)
-            .zip(&shard_base)
-            .map(|((c, e), base)| shard_stats_delta(c.snapshot(*e), base))
-            .collect();
-        let queues: Vec<QueueStats> = qcounters
-            .iter()
-            .zip(&queue_base)
-            .map(|(q, base)| queue_stats_delta(q.snapshot(), base))
-            .collect();
-        // A drained segment offered exactly what its ingest units got to
-        // before the flag: the per-queue tallies. An uninterrupted run
-        // keeps the stronger form — the whole source, independently
-        // cross-checked against the queue axis by `conserved()`.
-        let offered = if interrupted {
-            queues.iter().map(|q| q.offered).sum()
-        } else {
-            source.len() as u64
-        };
-        let report = EngineReport {
-            offered,
+        // Settle the run: its report is assembled once, and every later
+        // `snapshot()` returns exactly this report.
+        let end = RunEnd {
             elapsed,
-            shards,
-            queues,
-            host_processed: host_processed.get() - host_base,
-            verdicts_published: log.len() as u64,
+            shards: shard_ends,
+            control,
             interrupted,
             log_buffered,
-            control,
-            stage: StageSnapshot {
-                queue_ns: stage.queue_ns.snapshot(),
-                cache_ns: stage.cache_ns.snapshot(),
-                detect_ns: stage.detect_ns.snapshot(),
-                escalate_ns: stage.escalate_ns.snapshot(),
-                batch_pkts: stage.batch_pkts.snapshot(),
-            },
-            flowcache,
+        };
+        let report = {
+            let mut run = self.run.lock().expect("run books poisoned");
+            let report = self.assemble(&run.base, Some(&end));
+            run.settled = Some(report.clone());
+            report
         };
         // Close out the black box: a conservation failure records its
         // delta (the smoking gun a post-mortem dump starts from), and
@@ -1109,20 +1078,17 @@ impl Engine {
     #[allow(clippy::type_complexity)]
     fn spawn_control(
         &self,
-        ingest_units: usize,
         spec: &Option<TraceSpec>,
         log: &Arc<ControlLog>,
-        counters: &[ShardCounters],
-        host_processed: &Counter,
     ) -> (
         Vec<Option<ControlHooks>>,
         Vec<Option<SnapshotReader<SteeringSnapshot>>>,
         Option<(std::thread::JoinHandle<ControlReport>, Arc<AtomicBool>)>,
     ) {
-        let n = counters.len();
+        let n = self.cfg.shards;
         let mut shard_hooks: Vec<Option<ControlHooks>> = (0..n).map(|_| None).collect();
         let mut queue_steer: Vec<Option<SnapshotReader<SteeringSnapshot>>> =
-            (0..ingest_units).map(|_| None).collect();
+            (0..self.cfg.ingest_units()).map(|_| None).collect();
         let mut controller = None;
         if let Some(mut ctrl_cfg) = self.cfg.control.clone() {
             ctrl_cfg.hash_seed = self.cfg.hash_seed;
@@ -1145,8 +1111,7 @@ impl Engine {
             let obs = CtrlObs {
                 flight: self.flight.ring("sw-control"),
                 trace: spec.as_ref().map(|s| s.thread("sw-control")),
-                audit: Arc::clone(&self.decisions),
-                audit_cap: ctrl_cfg.decision_capacity.max(1),
+                live: Arc::clone(&self.live_control),
                 admin: Arc::clone(&self.admin),
                 admin_applied: self.admin_applied.clone(),
                 mem_rss: self.mem_rss.clone(),
@@ -1156,8 +1121,8 @@ impl Engine {
             let stop = Arc::new(AtomicBool::new(false));
             let thread_args = (
                 Arc::clone(log),
-                counters.to_vec(),
-                host_processed.clone(),
+                self.books.shards.clone(),
+                self.books.host_processed.clone(),
                 Arc::clone(&stop),
             );
             let handle = std::thread::Builder::new()
@@ -1937,13 +1902,12 @@ impl IngestSink for CoreSink {
 }
 
 /// Observability wiring for the controller thread: its flight ring,
-/// its optional trace track, and the shared decision-audit mirror that
-/// live readers (`Engine::decisions`, `/stats.json`) poll mid-run.
+/// its optional trace track, and the shared slot its report is
+/// republished into for live readers ([`Engine::snapshot`]).
 struct CtrlObs {
     flight: FlightRing,
     trace: Option<ThreadTrace>,
-    audit: Arc<Mutex<VecDeque<DecisionRecord>>>,
-    audit_cap: usize,
+    live: Arc<Mutex<Option<ControlReport>>>,
     /// The engine's admin mailbox, drained once per epoch.
     admin: Arc<AdminQueue>,
     /// `runtime.admin.applied` — commands the controller acted on.
@@ -1952,6 +1916,10 @@ struct CtrlObs {
     /// harness gets a live residency trend without touching the engine.
     mem_rss: Gauge,
 }
+
+/// Minimum wall time between two republications of the live control
+/// report.
+const LIVE_CONTROL_EVERY: Duration = Duration::from_millis(50);
 
 /// Stable numeric encoding of a FlowCache mode for flight-event args.
 fn mode_code(m: Mode) -> u64 {
@@ -1990,6 +1958,7 @@ fn controller_loop(
     // epoch, so releasing one hands the shard straight back to the
     // algorithm's current decision.
     let mut force_modes: Vec<Option<Mode>> = vec![None; counters.len()];
+    let mut next_publish = last;
     loop {
         let done = stop.load(Ordering::Acquire);
         if !done {
@@ -2123,14 +2092,12 @@ fn controller_loop(
                 record.epoch,
             );
         }
-        // Mirror the decision into the shared audit so live readers see
-        // it without waiting for the final ControlReport.
-        {
-            let mut audit = obs.audit.lock().expect("decision audit poisoned");
-            if audit.len() == obs.audit_cap {
-                audit.pop_front();
-            }
-            audit.push_back(record.clone());
+        // Republish the report so live readers see the decisions so far
+        // without waiting for the final one; rate-limited, because it
+        // copies the bounded decision audit and timeline.
+        if now >= next_publish {
+            *obs.live.lock().expect("live control poisoned") = Some(ctrl.report());
+            next_publish = now + LIVE_CONTROL_EVERY;
         }
         if let Some(snap) = decision.snapshot {
             snap_cell.publish(snap);
@@ -2145,74 +2112,6 @@ fn controller_loop(
             return ctrl.report();
         }
     }
-}
-
-/// Render a [`HistSnapshot`] as a JSON object — shared by
-/// [`Engine::stats_json`] and the bench JSON artifacts.
-pub fn hist_value(h: &HistSnapshot) -> Value {
-    Value::Object(vec![
-        ("count".into(), Value::Number(Number::U(h.count))),
-        ("sum".into(), Value::Number(Number::U(h.sum))),
-        ("min".into(), Value::Number(Number::U(h.min))),
-        ("max".into(), Value::Number(Number::U(h.max))),
-        ("mean".into(), Value::Number(Number::F(h.mean))),
-        ("p50".into(), Value::Number(Number::U(h.p50))),
-        ("p90".into(), Value::Number(Number::U(h.p90))),
-        ("p99".into(), Value::Number(Number::U(h.p99))),
-        ("p999".into(), Value::Number(Number::U(h.p999))),
-    ])
-}
-
-/// Render a controller [`DecisionRecord`] as a JSON object — shared by
-/// [`Engine::stats_json`] and the bench control timeline.
-pub fn decision_value(d: &DecisionRecord) -> Value {
-    Value::Object(vec![
-        ("epoch".into(), Value::Number(Number::U(d.epoch))),
-        (
-            "offered_mpps".into(),
-            Value::Number(Number::F(d.offered_mpps)),
-        ),
-        (
-            "smoothed_mpps".into(),
-            Value::Array(
-                d.smoothed_mpps
-                    .iter()
-                    .map(|&f| Value::Number(Number::F(f)))
-                    .collect(),
-            ),
-        ),
-        (
-            "max_backlog".into(),
-            Value::Number(Number::U(d.max_backlog)),
-        ),
-        (
-            "modes".into(),
-            Value::Array(
-                d.modes
-                    .iter()
-                    .map(|m| Value::String(m.label().into()))
-                    .collect(),
-            ),
-        ),
-        ("shed".into(), Value::Bool(d.shed)),
-        ("promotions".into(), Value::Number(Number::U(d.promotions))),
-        (
-            "whitelist_evictions".into(),
-            Value::Number(Number::U(d.whitelist_evictions)),
-        ),
-        (
-            "whitelist_len".into(),
-            Value::Number(Number::U(d.whitelist_len as u64)),
-        ),
-        (
-            "blacklist_len".into(),
-            Value::Number(Number::U(d.blacklist_len as u64)),
-        ),
-        (
-            "snapshot_published".into(),
-            Value::Bool(d.snapshot_published),
-        ),
-    ])
 }
 
 /// Per-ingest-unit counters (an RX-queue dispatcher, or an RTC core),
@@ -2280,7 +2179,7 @@ impl QueueCounters {
 /// Frozen per-ingest-unit statistics (the report view). The
 /// queue-local conservation law is
 /// `offered = ingested + ingest_dropped + shed + steer_dropped`.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct QueueStats {
     /// Packets of the offered trace assigned to this queue by RSS.
     pub offered: u64,
@@ -2294,8 +2193,8 @@ pub struct QueueStats {
     pub steer_dropped: u64,
 }
 
-/// Aggregate per-stage wall-clock distributions.
-#[derive(Clone, Copy, Debug)]
+/// Aggregate per-stage wall-clock distributions over one run.
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct StageSnapshot {
     /// Batch wait between dispatcher enqueue and shard dequeue, ns.
     pub queue_ns: HistSnapshot,
@@ -2403,7 +2302,34 @@ impl FlowCacheSummary {
     }
 }
 
-/// Everything `Engine::run` measured.
+/// Serialises every field, then the values its methods derive.
+impl Serialize for FlowCacheSummary {
+    fn to_value(&self) -> Value {
+        object(vec![
+            ("burst", self.burst.to_value()),
+            ("p_hits", self.p_hits.to_value()),
+            ("e_hits", self.e_hits.to_value()),
+            ("misses", self.misses.to_value()),
+            ("to_host", self.to_host.to_value()),
+            ("ring_pushes", self.ring_pushes.to_value()),
+            ("probe_hist", self.probe_hist.to_value()),
+            ("bursts", self.bursts.to_value()),
+            ("burst_pkts", self.burst_pkts.to_value()),
+            ("accesses", self.accesses().to_value()),
+            ("hit_rate", self.hit_rate().to_value()),
+            ("mean_probe_len", self.mean_probe_len().to_value()),
+            ("mean_burst_depth", self.mean_burst_depth().to_value()),
+        ])
+    }
+}
+
+/// A JSON object with `fields` in order.
+fn object(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// Everything `Engine::run` measured: the per-run books of one engine
+/// (see [`Engine::snapshot`]).
 #[derive(Clone, Debug)]
 pub struct EngineReport {
     /// Packets offered to the engine.
@@ -2487,6 +2413,17 @@ impl EngineReport {
         }
     }
 
+    /// Mean wall-clock budget per processed packet, ns (1 Mpps ⇔
+    /// 1000 ns/pkt; 0 when nothing was processed).
+    pub fn ns_per_packet(&self) -> f64 {
+        let mpps = self.mpps();
+        if mpps > 0.0 {
+            1000.0 / mpps
+        } else {
+            0.0
+        }
+    }
+
     /// Ingest drop fraction of offered packets.
     pub fn drop_rate(&self) -> f64 {
         if self.offered == 0 {
@@ -2561,6 +2498,38 @@ impl EngineReport {
             self.host_processed, self.verdicts_published
         ));
         out
+    }
+}
+
+/// Serialises every field (`elapsed` as `elapsed_ns`), with the totals
+/// and rates the methods derive (`processed`, `conserved`, `mpps`, …)
+/// next to them, so no reader re-derives them.
+impl Serialize for EngineReport {
+    fn to_value(&self) -> Value {
+        object(vec![
+            ("offered", self.offered.to_value()),
+            ("processed", self.processed().to_value()),
+            ("ingest_dropped", self.ingest_dropped().to_value()),
+            ("shed", self.shed().to_value()),
+            ("steer_dropped", self.steer_dropped().to_value()),
+            ("conserved", self.conserved().to_value()),
+            ("escalated", self.escalated().to_value()),
+            ("escalation_dropped", self.escalation_dropped().to_value()),
+            ("host_processed", self.host_processed.to_value()),
+            ("verdicts_published", self.verdicts_published.to_value()),
+            ("idle_parks", self.idle_parks().to_value()),
+            ("interrupted", self.interrupted.to_value()),
+            ("log_buffered", self.log_buffered.to_value()),
+            ("elapsed_ns", (self.elapsed.as_nanos() as u64).to_value()),
+            ("mpps", self.mpps().to_value()),
+            ("ns_per_packet", self.ns_per_packet().to_value()),
+            ("drop_rate", self.drop_rate().to_value()),
+            ("shards", self.shards.to_value()),
+            ("queues", self.queues.to_value()),
+            ("stage", self.stage.to_value()),
+            ("flowcache", self.flowcache.to_value()),
+            ("control", self.control.to_value()),
+        ])
     }
 }
 

@@ -51,7 +51,11 @@
 //! Telemetry flows through [`smartwatch_telemetry`]: per-shard counters
 //! (`runtime.shard.*{shard=N}`), per-queue dispatcher counters
 //! (`runtime.queue.*{queue=Q}`), queue-depth gauges, and aggregate
-//! per-stage latency histograms (`runtime.stage.*`).
+//! per-stage latency histograms (`runtime.stage.*`). They are
+//! cumulative; the [`EngineReport`] is per run, assembled in one place
+//! from the same handles minus the run's start baselines. `run()`
+//! returns it, and [`Engine::snapshot`] serves it live (the running
+//! books) or settled (exactly what `run()` returned).
 //!
 //! In service mode the engine stays resident across segments:
 //! [`service`] carries the bounded admin mailbox ([`AdminCmd`]) drained
@@ -82,11 +86,11 @@ pub mod spsc;
 
 pub use control::{ControlLog, LogReader};
 pub use engine::{
-    decision_value, hist_value, DatapathMode, Engine, EngineConfig, EngineReport, FlowCacheSummary,
-    FrameSource, Pace, QueueStats, StageSnapshot,
+    DatapathMode, Engine, EngineConfig, EngineReport, FlowCacheSummary, FrameSource, Pace,
+    QueueStats, StageSnapshot,
 };
 pub use escalate::{HostObs, HostPool, TriageNf};
 pub use frame::{FramePool, FrameSlot};
-pub use service::AdminCmd;
+pub use service::{AdminCmd, ServiceStats};
 pub use shard::{MergePolicy, ShardCounters, ShardStats};
 pub use smartwatch_control::{ControlConfig, ControlEvent, ControlReport, DecisionRecord};

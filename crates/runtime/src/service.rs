@@ -22,6 +22,7 @@
 //! [`SteeringSnapshot`]: smartwatch_control::SteeringSnapshot
 //! [`ModeCell`]: smartwatch_control::ModeCell
 
+use serde::Serialize;
 use smartwatch_snic::Mode;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -82,6 +83,35 @@ impl AdminCmd {
             AdminCmd::ForceMode { shard, .. } => shard as u64,
         }
     }
+}
+
+/// Engine-lifetime service state ([`Engine::service`](crate::Engine::service)):
+/// what `/stats.json` serves next to the per-run report. Every counter
+/// here is cumulative over the engine's life, not per run.
+#[derive(Clone, Copy, Debug, Serialize)]
+pub struct ServiceStats {
+    /// A graceful drain is requested and not yet cleared.
+    pub draining: bool,
+    /// Admin commands waiting in the mailbox.
+    pub admin_queued: u64,
+    /// Admin commands the controller has applied.
+    pub admin_applied: u64,
+    /// The live pacing override, Mpps (`None`: the run's own plan).
+    pub rate_override_mpps: Option<f64>,
+    /// Batch buffers freshly allocated (`runtime.pool.allocated`).
+    pub pool_allocated: u64,
+    /// Batch buffers reused (`runtime.pool.recycled`).
+    pub pool_recycled: u64,
+    /// Frame slots freshly allocated (`runtime.frame_pool.allocated`).
+    pub frame_pool_allocated: u64,
+    /// Frame slots reused (`runtime.frame_pool.recycled`).
+    pub frame_pool_recycled: u64,
+    /// Resident set at the last sample (`runtime.mem.rss_bytes`).
+    pub rss_bytes: u64,
+    /// Events the flight recorder has recorded.
+    pub flight_recorded: u64,
+    /// Events the flight recorder's bounded rings overwrote.
+    pub flight_dropped: u64,
 }
 
 /// Bounded multi-producer mailbox between the admin surface and the

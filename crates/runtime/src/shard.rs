@@ -26,6 +26,7 @@ use crate::batch::{Backoff, Batch, DigestedPacket, RecycleSender};
 use crate::control::{ControlLog, LogReader};
 use crate::escalate::{Escalated, TriageNf};
 use crate::obs::ThreadTrace;
+use serde::Serialize;
 use smartwatch_control::{ModeCell, SnapshotReader, SteeringSnapshot};
 use smartwatch_core::{DetectorSuite, HostNeed};
 use smartwatch_host::{HostNf, Verdict};
@@ -200,7 +201,7 @@ impl ShardCounters {
 }
 
 /// Frozen per-shard statistics (the report view).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct ShardStats {
     /// Packets enqueued to this shard.
     pub ingested: u64,
@@ -260,6 +261,17 @@ impl StageHists {
             escalate_ns: reg.histogram("runtime.stage.escalate_ns", &[]),
             batch_pkts: reg.histogram("runtime.stage.batch_pkts", &[]),
         }
+    }
+
+    /// Every stage histogram, in `StageSnapshot` field order.
+    pub(crate) fn all(&self) -> [&Histogram; 5] {
+        [
+            &self.queue_ns,
+            &self.cache_ns,
+            &self.detect_ns,
+            &self.escalate_ns,
+            &self.batch_pkts,
+        ]
     }
 }
 

@@ -3,7 +3,7 @@
 //! inline mode — including byte-identical summaries across `rx_queues`.
 
 use smartwatch_net::Dur;
-use smartwatch_runtime::{Engine, EngineConfig, MergePolicy, Pace};
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, MergePolicy, Pace};
 use smartwatch_trace::background::{preset_trace, Preset};
 
 fn workload(flows: usize, seed: u64) -> Vec<smartwatch_net::Packet> {
@@ -275,4 +275,37 @@ fn escalation_round_trip_blacklists_hostile_sources() {
         "enforced blacklist must drop follow-up packets:\n{}",
         report.deterministic_summary()
     );
+}
+
+/// Every run's report covers that run alone, stage histograms included:
+/// back-to-back flat-out runs on one engine each deliver exactly their
+/// own ingested packets in `stage.batch_pkts`, and `snapshot()` after a
+/// run is the report that run returned.
+#[test]
+fn back_to_back_runs_each_report_their_own_stage_histograms() {
+    let packets = workload(300, 23);
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
+        let mut cfg = EngineConfig::new(2);
+        cfg.datapath = datapath;
+        let engine = Engine::new(cfg);
+        let idle = engine.snapshot();
+        assert_eq!((idle.offered, idle.processed()), (0, 0), "{datapath:?}");
+        for run in 0..2 {
+            let report = engine.run(&packets, Pace::Flatout);
+            assert!(report.conserved(), "{datapath:?} run {run}");
+            assert_eq!(report.offered, packets.len() as u64);
+            let ingested: u64 = report.shards.iter().map(|s| s.ingested).sum();
+            assert_eq!(
+                report.stage.batch_pkts.sum, ingested,
+                "{datapath:?} run {run}: delivered batches cover this run only"
+            );
+            assert!(report.stage.cache_ns.count > 0, "{datapath:?} run {run}");
+            let snap = engine.snapshot();
+            assert_eq!(
+                format!("{snap:?}"),
+                format!("{report:?}"),
+                "{datapath:?} run {run}: snapshot is the settled report"
+            );
+        }
+    }
 }

@@ -96,6 +96,13 @@ impl Mode {
     }
 }
 
+/// Serialises as its [`Mode::label`].
+impl serde::Serialize for Mode {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::String(self.label().into())
+    }
+}
+
 /// FlowCache geometry and policy configuration.
 #[derive(Clone, Debug)]
 pub struct FlowCacheConfig {

@@ -13,6 +13,7 @@
 //! merge bucket-wise, so per-thread shards can be combined into one
 //! distribution with no loss beyond the shared bucketing.
 
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -35,16 +36,36 @@ fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// Largest value mapping to bucket `idx` (the reported representative).
-fn bucket_high(idx: usize) -> u64 {
+/// Smallest value mapping to bucket `idx`.
+fn bucket_low(idx: usize) -> u64 {
     if idx < SUB {
         idx as u64
     } else {
         let g = (idx - SUB) / SUB;
         let s = ((idx - SUB) % SUB) as u64;
-        let low = (SUB as u64 + s) << g;
-        low + ((1u64 << g) - 1)
+        (SUB as u64 + s) << g
     }
+}
+
+/// Largest value mapping to bucket `idx` (the reported representative).
+fn bucket_high(idx: usize) -> u64 {
+    if idx < SUB {
+        idx as u64
+    } else {
+        bucket_low(idx) + ((1u64 << ((idx - SUB) / SUB)) - 1)
+    }
+}
+
+/// Index of the bucket holding the value of quantile `q` among `total`
+/// values spread over `counts` (`None` when the counts hold fewer).
+fn quantile_bucket(counts: impl Iterator<Item = u64>, total: u64, q: f64) -> Option<usize> {
+    // Rank of the q-th value, 1-based; q=0 maps to the first value.
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    counts.enumerate().find_map(|(i, n)| {
+        seen += n;
+        (seen >= rank).then_some(i)
+    })
 }
 
 struct Core {
@@ -208,17 +229,11 @@ impl Histogram {
         if total == 0 {
             return 0;
         }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the q-th value, 1-based; q=0 maps to the first value.
-        let rank = ((q * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.core.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_high(i).clamp(self.min(), self.max());
-            }
+        let counts = self.core.buckets.iter().map(|b| b.load(Ordering::Relaxed));
+        match quantile_bucket(counts, total, q) {
+            Some(i) => bucket_high(i).clamp(self.min(), self.max()),
+            None => self.max(),
         }
-        self.max()
     }
 
     /// Immutable point-in-time summary (used by the exporters).
@@ -236,14 +251,82 @@ impl Histogram {
         }
     }
 
+    /// Freeze the current bucket counts: the baseline a later
+    /// [`Histogram::snapshot_since`] subtracts.
+    pub fn base(&self) -> HistBase {
+        HistBase {
+            buckets: self.load_buckets(),
+            count: self.count(),
+            sum: self.sum(),
+        }
+    }
+
+    /// Summary of only the values recorded since `base` was taken from
+    /// this histogram. Count, sum, mean and quantiles cover exactly that
+    /// window (quantiles at the usual bucket resolution). Min and max are
+    /// exact while the baseline is empty; otherwise they are the bounds
+    /// of the lowest and highest bucket the window touched, clamped to
+    /// the lifetime min and max.
+    pub fn snapshot_since(&self, base: &HistBase) -> HistSnapshot {
+        let mut buckets = self.load_buckets();
+        for (n, b) in buckets.iter_mut().zip(base.buckets.iter()) {
+            *n = n.saturating_sub(*b);
+        }
+        let count = self.count().saturating_sub(base.count);
+        let first = buckets.iter().position(|&n| n > 0);
+        let last = buckets.iter().rposition(|&n| n > 0);
+        let (min, max) = match (first, last) {
+            (Some(_), Some(_)) if base.count == 0 => (self.min(), self.max()),
+            (Some(lo), Some(hi)) => (
+                bucket_low(lo).max(self.min()),
+                bucket_high(hi).min(self.max()),
+            ),
+            _ => return HistSnapshot::default(),
+        };
+        let sum = self.sum().wrapping_sub(base.sum);
+        let q = |q: f64| match quantile_bucket(buckets.iter().copied(), count, q) {
+            Some(i) => bucket_high(i).clamp(min, max),
+            None => max,
+        };
+        HistSnapshot {
+            count,
+            sum,
+            min,
+            max,
+            mean: if count == 0 {
+                0.0
+            } else {
+                sum as f64 / count as f64
+            },
+            p50: q(0.50),
+            p90: q(0.90),
+            p99: q(0.99),
+            p999: q(0.999),
+        }
+    }
+
+    fn load_buckets(&self) -> Box<[u64]> {
+        let load = |b: &AtomicU64| b.load(Ordering::Relaxed);
+        self.core.buckets.iter().map(load).collect()
+    }
+
     /// True when no two `Histogram` handles share this distribution.
     pub fn is_unshared(&self) -> bool {
         Arc::strong_count(&self.core) == 1
     }
 }
 
+/// A histogram's bucket counts frozen at one instant (see
+/// [`Histogram::base`]).
+#[derive(Clone, Debug)]
+pub struct HistBase {
+    buckets: Box<[u64]>,
+    count: u64,
+    sum: u64,
+}
+
 /// Point-in-time histogram summary.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct HistSnapshot {
     /// Number of recorded values.
     pub count: u64,
@@ -331,6 +414,32 @@ mod tests {
             scalar.record(v);
         }
         assert_eq!(bulk.snapshot(), scalar.snapshot());
+    }
+
+    #[test]
+    fn snapshot_since_covers_only_the_window() {
+        let h = Histogram::new();
+        let empty = h.base();
+        let window = Histogram::new();
+        for i in 0..500u64 {
+            h.record(i * 37 % 1009 + 1);
+        }
+        assert_eq!(h.snapshot_since(&empty), h.snapshot(), "empty baseline");
+        let base = h.base();
+        assert_eq!(h.snapshot_since(&base), HistSnapshot::default());
+        for i in 0..300u64 {
+            let v = i * i % 7919 + 100;
+            h.record(v);
+            window.record(v);
+        }
+        let (got, want) = (h.snapshot_since(&base), window.snapshot());
+        assert_eq!(
+            (got.count, got.sum, got.mean, got.p50, got.p90, got.p99),
+            (want.count, want.sum, want.mean, want.p50, want.p90, want.p99)
+        );
+        // Min and max come from the window's extreme buckets.
+        assert!(got.min <= want.min && bucket_index(got.min) == bucket_index(want.min));
+        assert!(got.max >= want.max && bucket_index(got.max) == bucket_index(want.max));
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod wallclock;
 
 pub use export::Snapshot;
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FlightRing};
-pub use hist::{HistSnapshot, Histogram, QUANTILE_ERROR_BOUND};
+pub use hist::{HistBase, HistSnapshot, Histogram, QUANTILE_ERROR_BOUND};
 pub use metrics::{Counter, Gauge, MetricId, Registry};
 pub use trace::{TraceShard, Tracer};
 pub use wallclock::WallAnchor;
