@@ -1,17 +1,15 @@
-//! Criterion benchmark of the wall-clock runtime engine: the RX-queue ×
-//! shard pipeline mesh and the pipeline-vs-RTC datapath grid, both on
-//! the 64-byte stress workload.
+//! Criterion benchmark of the wall-clock runtime engine: the
+//! pipeline-vs-RTC datapath grid on the 64-byte stress workload.
 //!
-//! On a multi-core machine throughput should rise with shards and with
-//! RX queues (the acceptance shapes: 4 shards > 1 shard, and 4 queues ≥
-//! 1.8× 1 queue on 64B packets), and the fused run-to-completion
-//! datapath should beat the mesh at equal core budget — it spends no
-//! cycles on lane crossings, recycling or dispatcher/shard cache
-//! bouncing. On a single hardware thread the sweeps still exercise the
-//! dispatchers, the R×N lane mesh, the fused cores and the drain logic,
-//! but the scaling signal is meaningless — read it with `nproc` in
-//! hand. Each Criterion cell also prints its own measured Mpps so a
-//! scaling table can be read straight off the run log.
+//! On a multi-core machine throughput should rise with shards, and the
+//! fused run-to-completion datapath should beat the pipeline at equal
+//! core budget — it spends no cycles on lane crossings, recycling or
+//! dispatcher/shard cache bouncing. On a single hardware thread the
+//! sweep still exercises the dispatcher, the lanes, the fused cores and
+//! the drain logic, but the scaling signal is meaningless — read it
+//! with `nproc` in hand. Each Criterion cell also prints its own
+//! measured Mpps so a scaling table can be read straight off the run
+//! log.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use smartwatch_bench::exp_engine::{engine_workload, EngineRunSpec, EngineWorkload};
@@ -24,45 +22,6 @@ fn stress_packets() -> Vec<smartwatch_net::Packet> {
         ..EngineRunSpec::default()
     };
     engine_workload(&spec, 1)
-}
-
-fn bench_engine_mesh(c: &mut Criterion) {
-    let pkts = stress_packets();
-    let mut g = c.benchmark_group("engine_mesh_64b");
-    g.throughput(Throughput::Elements(pkts.len() as u64));
-    g.sample_size(10);
-    for rxq in [1usize, 2, 4] {
-        for shards in [1usize, 2, 4] {
-            // One out-of-band measured run per cell: Criterion's timing
-            // includes engine setup/teardown, so the engine's own Mpps
-            // (timed dispatch→drain only) is the number the DESIGN
-            // scaling table quotes.
-            let mut cfg = EngineConfig::new(shards);
-            cfg.rx_queues = rxq;
-            let probe = Engine::new(cfg).run(&pkts, Pace::Flatout);
-            assert!(probe.conserved());
-            println!(
-                "engine_mesh_64b/rxq{rxq}_shards{shards}: {:.3} Mpps \
-                 ({} pkts, {:?})",
-                probe.mpps(),
-                probe.processed(),
-                probe.elapsed
-            );
-
-            g.bench_function(format!("rxq{rxq}_shards{shards}"), |b| {
-                b.iter(|| {
-                    // Fresh engine (and registry) per run: counters must
-                    // not accumulate across iterations.
-                    let mut cfg = EngineConfig::new(shards);
-                    cfg.rx_queues = rxq;
-                    let report = Engine::new(cfg).run(&pkts, Pace::Flatout);
-                    assert!(report.conserved());
-                    report.processed()
-                });
-            });
-        }
-    }
-    g.finish();
 }
 
 /// Pipeline vs run-to-completion at equal core budget. The pipeline
@@ -109,6 +68,6 @@ fn bench_engine_datapath(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_engine_mesh, bench_engine_datapath
+    targets = bench_engine_datapath
 }
 criterion_main!(benches);

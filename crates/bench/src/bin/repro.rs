@@ -28,6 +28,72 @@ use smartwatch_bench::{all_experiments, signal, ExpCtx};
 use smartwatch_runtime::{DatapathMode, Engine, EngineReport};
 use std::sync::Arc;
 
+/// Every wall-clock runtime experiment.
+const RUNTIME: &[&str] = &["engine", "control", "serve", "soak"];
+/// The service experiments, which share one spec.
+const SERVICE: &[&str] = &["serve", "soak"];
+
+/// The runtime experiments that read each runtime flag. A flag that a
+/// selected experiment would ignore — or that no selected experiment
+/// reads — exits with a named error instead of being dropped silently.
+const FLAG_READERS: &[(&str, &[&str])] = &[
+    ("--shards", RUNTIME),
+    ("--packets", RUNTIME),
+    ("--batch", RUNTIME),
+    ("--source", RUNTIME),
+    ("--listen", RUNTIME),
+    ("--bench-json", RUNTIME),
+    ("--flight-dump", RUNTIME),
+    ("--datapath", &["engine"]),
+    ("--pin-cores", &["engine"]),
+    ("--cache-burst", &["engine"]),
+    ("--summary-out", &["engine"]),
+    ("--host-workers", &["engine", "serve", "soak"]),
+    ("--rate", &["engine", "serve", "soak"]),
+    ("--workload", &["engine", "serve", "soak"]),
+    ("--trace-sample", &["engine", "control"]),
+    ("--serve-hold-ms", &["engine", "control"]),
+    ("--epoch-ms", &["control", "serve", "soak"]),
+    ("--base", &["control"]),
+    ("--peak", &["control"]),
+    ("--spike-start", &["control"]),
+    ("--spike-end", &["control"]),
+    ("--segments", SERVICE),
+    ("--segment-ms", SERVICE),
+    ("--serve-config", SERVICE),
+    ("--carry-flow-state", SERVICE),
+    ("--flat-out", SERVICE),
+    ("--rss-slack-mb", SERVICE),
+];
+
+/// Exit with a named error when a flag in `given` is not read by every
+/// selected runtime experiment, or when none is selected.
+fn check_flag_readers(given: &[&str], selected: &[String]) {
+    let runs: Vec<&str> = RUNTIME
+        .iter()
+        .copied()
+        .filter(|r| selected.iter().any(|s| s == r))
+        .collect();
+    for flag in given {
+        let Some((_, readers)) = FLAG_READERS.iter().find(|(f, _)| f == flag) else {
+            continue;
+        };
+        let names = readers
+            .iter()
+            .map(|d| format!("`{d}`"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        if runs.is_empty() {
+            die(&format!("{flag} only applies to {names}"));
+        }
+        if let Some(r) = runs.iter().find(|r| !readers.contains(r)) {
+            die(&format!(
+                "{flag} does not apply to `{r}`; it is read by {names}"
+            ));
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 1usize;
@@ -42,20 +108,15 @@ fn main() {
     let mut control_spec = ControlRunSpec::default();
     let mut serve_spec = ServeSpec::default();
     let mut rss_slack_mb: u64 = 64;
-    let mut rx_queues_given = false;
+    let mut given: Vec<&str> = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
+        given.push(a);
         match a.as_str() {
             "--shards" => {
                 engine_spec.shards = parse_num(it.next(), "--shards");
                 control_spec.shards = engine_spec.shards;
                 serve_spec.shards = engine_spec.shards;
-            }
-            "--rx-queues" => {
-                engine_spec.rx_queues = parse_num(it.next(), "--rx-queues");
-                control_spec.rx_queues = engine_spec.rx_queues;
-                serve_spec.rx_queues = engine_spec.rx_queues;
-                rx_queues_given = true;
             }
             "--datapath" => {
                 engine_spec.datapath = match it.next().map(String::as_str) {
@@ -238,17 +299,11 @@ fn main() {
         usage();
         return;
     }
-    // Contradictory topology flags fail fast, before any work: the RTC
-    // datapath has no RX dispatcher tier, so a `--rx-queues` the user
-    // explicitly asked for cannot be honoured (core count = --shards).
-    if engine_spec.datapath == DatapathMode::Rtc && rx_queues_given {
-        die(
-            "--rx-queues does not apply to `--datapath rtc`: fused run-to-completion \
-             cores own their own ingest, so the core count is --shards",
-        );
-    }
+    // Flags a selected experiment would ignore, and contradictory
+    // topology flags, fail fast, before any work.
+    check_flag_readers(&given, &selected);
     if engine_spec.pin_cores && engine_spec.datapath != DatapathMode::Rtc {
-        die("--pin-cores requires `--datapath rtc` (the mesh is not pinned)");
+        die("--pin-cores requires `--datapath rtc` (pipeline threads are not pinned)");
     }
 
     let experiments = all_experiments();
@@ -291,11 +346,8 @@ fn main() {
     if wants_serve && wants_soak {
         die("`serve` and `soak` are one service run each; pick one per invocation");
     }
-    if engine_spec.listen.is_some() && runtime_drivers == 0 {
-        die("--listen only applies to the `engine`, `control`, `serve` and `soak` experiments");
-    }
     if runtime_drivers > 0 {
-        // Ctrl-C / SIGTERM drains the run gracefully: the mesh quiesces
+        // Ctrl-C / SIGTERM drains the run gracefully: the engine quiesces
         // through the end-of-trace path and the summary still conserves.
         signal::install();
         engine_spec.watch_signals = true;
@@ -411,23 +463,6 @@ fn main() {
         selected.retain(|s| s != "serve" && s != "soak");
         ran += 1;
     }
-    if let Some(path) = bench_out {
-        die(&format!(
-            "--bench-json {path} only applies to the `engine`, `control`, `serve` and `soak` \
-             experiments"
-        ));
-    }
-    if let Some(path) = flight_out {
-        die(&format!(
-            "--flight-dump {path} only applies to the `engine`, `control`, `serve` and `soak` \
-             experiments"
-        ));
-    }
-    if let Some(path) = summary_out {
-        die(&format!(
-            "--summary-out {path} only applies to the `engine` experiment"
-        ));
-    }
     for (id, f) in &experiments {
         if run_all || selected.iter().any(|s| s == id) {
             let table = f(&ctx);
@@ -495,7 +530,7 @@ fn usage() {
         "repro — regenerate the SmartWatch paper's tables and figures\n\n\
          usage: repro <experiment…|all|list> [--scale N] [--json]\n\
                       [--metrics-json <path>] [--trace-out <path>]\n\
-                repro engine [--shards N] [--rx-queues R] [--packets N]\n\
+                repro engine [--shards N] [--packets N]\n\
                       [--datapath pipeline|rtc] [--pin-cores]\n\
                       [--batch N] [--host-workers N] [--rate MPPS]\n\
                       [--cache-burst N]\n\
@@ -504,15 +539,17 @@ fn usage() {
                       [--bench-json <path>] [--summary-out <path>]\n\
                       [--trace-sample N] [--listen ADDR]\n\
                       [--serve-hold-ms N] [--flight-dump <path>]\n\
-                repro control [--shards N] [--rx-queues R] [--packets N]\n\
+                repro control [--shards N] [--packets N]\n\
                       [--batch N] [--base MPPS] [--peak MPPS]\n\
                       [--spike-start F] [--spike-end F] [--epoch-ms N]\n\
                       [--source synthetic|compiled|pcap:<path>]\n\
                       [--bench-json <path>] [--trace-sample N]\n\
                       [--listen ADDR] [--serve-hold-ms N]\n\
                       [--flight-dump <path>]\n\
-                repro serve|soak [--shards N] [--rx-queues R]\n\
-                      [--packets N] [--batch N] [--rate MPPS|--flat-out]\n\
+                repro serve|soak [--shards N] [--packets N] [--batch N]\n\
+                      [--host-workers N] [--workload stress|stress64|mix]\n\
+                      [--source synthetic|compiled|pcap:<path>]\n\
+                      [--rate MPPS|--flat-out]\n\
                       [--segments N] [--segment-ms N] [--epoch-ms N]\n\
                       [--carry-flow-state] [--serve-config <path>]\n\
                       [--listen ADDR] [--bench-json <path>]\n\
@@ -524,14 +561,14 @@ fn usage() {
                          (load in chrome://tracing or ui.perfetto.dev);\n\
                          with `engine`/`control` and --trace-sample it\n\
                          also carries the wall-clock thread spans\n\
-         --source        (engine/control) what the dispatchers ingest:\n\
+         --source        what the ingest units replay:\n\
                          `synthetic` (default) replays pre-built Packet\n\
                          structs; `compiled` serialises the workload once\n\
                          into packed wire frames and parses + digests the\n\
                          header bytes in place (the zero-copy data plane);\n\
                          `pcap:<path>` replays a capture file through the\n\
                          same wire path, cycled to --packets\n\
-         --bench-json    (engine/control) write the run spec plus the\n\
+         --bench-json    (any runtime run) write the run spec plus the\n\
                          run's serialised EngineReport as JSON (control:\n\
                          both runs; the controlled one carries the mode\n\
                          timeline and per-epoch controller decision audit)\n\
@@ -542,29 +579,34 @@ fn usage() {
                          prefetch N rows ahead before probing (default 8;\n\
                          0/1 = per-packet reference path, same decisions)\n\
          --datapath      (engine) thread topology: `pipeline` (default)\n\
-                         runs R dispatchers feeding N shards over SPSC\n\
+                         runs one dispatcher feeding N shards over SPSC\n\
                          lanes; `rtc` fuses dispatcher and shard into N\n\
-                         run-to-completion cores (zero queue crossings,\n\
-                         identical decisions; --rx-queues is rejected)\n\
+                         run-to-completion cores, each ingesting its own\n\
+                         RSS sub-stream (zero queue crossings, identical\n\
+                         decisions)\n\
          --pin-cores     (engine, rtc only) pin core i to CPU i via\n\
                          sched_setaffinity — best-effort, Linux only\n\
          --trace-sample  (engine/control) sample 1-in-N batches per\n\
                          engine thread into --trace-out (0 = off; the\n\
                          first batch per thread is always sampled)\n\
-         --listen        (engine/control) serve /metrics, /stats.json\n\
+         --listen        (any runtime run) serve /metrics, /stats.json\n\
                          and /flight.json live during the run\n\
                          (e.g. 127.0.0.1:9184; port 0 = ephemeral)\n\
          --serve-hold-ms (engine/control) keep --listen endpoints up\n\
                          this long after the run ends\n\
-         --flight-dump   (engine/control) write the flight recorder\n\
+         --flight-dump   (any runtime run) write the flight recorder\n\
                          (per-thread black-box event rings) as JSON;\n\
                          anomalous runs auto-dump FLIGHT_anomaly.json\n\n\
+         Runtime flags apply only to the experiments listed with them\n\
+         above; one given to a selected experiment that does not read it\n\
+         (or with no runtime experiment selected) exits 2 with a named\n\
+         error.\n\n\
          `repro engine` runs the sharded wall-clock runtime (OS threads,\n\
          measured Mpps — machine-dependent, unlike every other experiment).\n\
-         Default: 2 shards, 1 RX queue, 200k packets, flat-out, 64B\n\
-         stress workload. `--rx-queues R` fans ingest out over R\n\
-         dispatcher threads (the multi-queue NIC model); `--datapath\n\
-         rtc` replaces the mesh with N fused run-to-completion cores.\n\n\
+         Default: 2 shards, one dispatcher, 200k packets, flat-out, 64B\n\
+         stress workload. `--datapath rtc` replaces the dispatcher and\n\
+         its lanes with N fused run-to-completion cores, one ingest\n\
+         unit each (the multi-queue NIC model).\n\n\
          `repro control` replays one overload spike twice — with the\n\
          adaptive control plane (Alg. 4 mode switching, steering\n\
          snapshots, load shedding) and without — and reports both.\n\

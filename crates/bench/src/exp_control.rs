@@ -28,8 +28,6 @@ use std::sync::Arc;
 pub struct ControlRunSpec {
     /// Worker shards (threads).
     pub shards: usize,
-    /// RX dispatcher queues (threads) — the multi-queue NIC model.
-    pub rx_queues: usize,
     /// Packets to replay (the workload is cycled to this length).
     pub packets: usize,
     /// Packets per dispatch batch.
@@ -65,7 +63,6 @@ impl Default for ControlRunSpec {
     fn default() -> ControlRunSpec {
         ControlRunSpec {
             shards: 2,
-            rx_queues: 1,
             packets: 400_000,
             batch: 64,
             base_mpps: 0.2,
@@ -155,7 +152,6 @@ pub fn control_run_full(
     let pace = spike_pace(spec);
 
     let mut cfg = EngineConfig::new(spec.shards);
-    cfg.rx_queues = spec.rx_queues;
     cfg.batch = spec.batch;
     cfg.trace_sample = spec.trace_sample;
     let mut engine = Engine::with_registry(cfg.with_control(control_config(spec)), &ctx.registry);
@@ -174,7 +170,6 @@ pub fn control_run_full(
     // Baseline: same spike, no controller, private registry so the two
     // runs' counters don't mix in `--metrics-json`.
     let mut base_cfg = EngineConfig::new(spec.shards);
-    base_cfg.rx_queues = spec.rx_queues;
     base_cfg.batch = spec.batch;
     let baseline = replay.run(&Engine::new(base_cfg), pace);
 
@@ -206,7 +201,6 @@ fn handled_mpps(r: &EngineReport) -> f64 {
 struct ControlBench {
     bench: String,
     shards: usize,
-    rx_queues: usize,
     packets: usize,
     batch: usize,
     source: String,
@@ -228,7 +222,6 @@ pub fn bench_json(spec: &ControlRunSpec, o: &ControlOutcome) -> String {
     let v = ControlBench {
         bench: "control".to_string(),
         shards: spec.shards,
-        rx_queues: spec.rx_queues,
         packets: spec.packets,
         batch: spec.batch,
         source: spec.source.label().to_string(),
@@ -284,7 +277,7 @@ fn render(spec: &ControlRunSpec, o: &ControlOutcome) -> Table {
     t.row(run_row("baseline", &o.baseline));
     t.note(format!(
         "spike: {} → {} Mpps over [{:.0}%, {:.0}%) of {} pkts ({} source); \
-         controller epoch {} ms; {} RX queue(s)",
+         controller epoch {} ms",
         spec.base_mpps,
         spec.peak_mpps,
         spec.spike_start * 100.0,
@@ -292,7 +285,6 @@ fn render(spec: &ControlRunSpec, o: &ControlOutcome) -> Table {
         spec.packets,
         spec.source.label(),
         spec.epoch_ms,
-        spec.rx_queues,
     ));
     t.note(format!(
         "controller: {} epochs, {} mode switches, {} shed epochs ({} pkts shed), \

@@ -132,12 +132,9 @@ pub fn replay_data(
 pub struct EngineRunSpec {
     /// Worker shards (threads).
     pub shards: usize,
-    /// RX dispatcher queues (threads) — the multi-queue NIC model.
-    /// Ignored under [`DatapathMode::Rtc`], where every fused core owns
-    /// its ingest (the CLI rejects the combination up front).
-    pub rx_queues: usize,
-    /// Thread topology: the dispatcher→lane→shard mesh (`pipeline`,
-    /// the default) or fused run-to-completion cores (`rtc`).
+    /// Thread topology: one dispatcher feeding the shards over SPSC
+    /// lanes (`pipeline`, the default) or fused run-to-completion cores,
+    /// each owning its own ingest (`rtc`).
     pub datapath: DatapathMode,
     /// Pin each fused RTC core to CPU *i* (`--pin-cores`; best-effort,
     /// Linux `sched_setaffinity`, no-op elsewhere).
@@ -178,7 +175,6 @@ impl Default for EngineRunSpec {
     fn default() -> EngineRunSpec {
         EngineRunSpec {
             shards: 2,
-            rx_queues: 1,
             datapath: DatapathMode::Pipeline,
             pin_cores: false,
             packets: 200_000,
@@ -243,7 +239,6 @@ pub fn engine_run_full(ctx: &ExpCtx, spec: &EngineRunSpec) -> (Table, EngineRepo
         spec.packets,
     );
     let mut cfg = EngineConfig::new(spec.shards);
-    cfg.rx_queues = spec.rx_queues;
     cfg.datapath = spec.datapath;
     cfg.pin_cores = spec.pin_cores;
     cfg.batch = spec.batch;
@@ -304,7 +299,6 @@ pub fn datapath_label(d: DatapathMode) -> &'static str {
 struct EngineBench {
     bench: String,
     shards: usize,
-    rx_queues: usize,
     datapath: String,
     pin_cores: bool,
     batch: usize,
@@ -320,7 +314,6 @@ pub fn bench_json(spec: &EngineRunSpec, r: &EngineReport) -> String {
     let v = EngineBench {
         bench: "engine".to_string(),
         shards: spec.shards,
-        rx_queues: spec.rx_queues,
         datapath: datapath_label(spec.datapath).to_string(),
         pin_cores: spec.pin_cores,
         batch: spec.batch,
@@ -338,7 +331,6 @@ fn render(spec: &EngineRunSpec, pace: Pace, r: &EngineReport) -> Table {
         "wall-clock sharded runtime (full pipeline on OS threads)",
         &[
             "shards",
-            "rxq",
             "datapath",
             "workload",
             "source",
@@ -364,7 +356,6 @@ fn render(spec: &EngineRunSpec, pace: Pace, r: &EngineReport) -> Table {
     };
     t.row(vec![
         spec.shards.to_string(),
-        spec.rx_queues.to_string(),
         datapath_label(spec.datapath).to_string(),
         format!("{:?}", spec.workload).to_lowercase(),
         spec.source.label().to_string(),
@@ -424,7 +415,7 @@ fn render(spec: &EngineRunSpec, pace: Pace, r: &EngineReport) -> Table {
         EngineSource::Synthetic => {}
         EngineSource::Compiled => t.note(
             "wire data plane: workload compiled once into packed frames; \
-             dispatchers parse headers in place and digest from the bytes",
+             ingest parses headers in place and digests from the bytes",
         ),
         EngineSource::Pcap(path) => t.note(format!(
             "wire data plane: replaying pcap {path} (cycled to {} pkts) \
@@ -471,7 +462,6 @@ mod tests {
         let field = |k: &str| v.get(k).unwrap_or_else(|| panic!("missing field {k}"));
         assert_eq!(field("bench").as_str(), Some("engine"));
         assert_eq!(field("shards").as_u64(), Some(2));
-        assert_eq!(field("rx_queues").as_u64(), Some(1));
         // The report section is the report, serialised.
         let r = field("report");
         assert_eq!(
@@ -537,15 +527,16 @@ mod tests {
         let ctx = ExpCtx::new(1);
         let spec = EngineRunSpec {
             packets: 20_000,
-            rx_queues: 2,
+            datapath: DatapathMode::Rtc,
             ..EngineRunSpec::default()
         };
         let (t, report) = engine_run_report(&ctx, &spec);
         assert!(t.notes.iter().any(|n| n.contains("conservation: OK")));
-        assert_eq!(report.rx_queues(), 2);
+        // Two RTC cores are two ingest units, each with its own books.
+        assert_eq!(report.queues.len(), 2);
         let json = bench_json(&spec, &report);
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(v["rx_queues"].as_u64(), Some(2));
+        assert_eq!(v["shards"].as_u64(), Some(2));
         assert_eq!(v["report"]["queues"].as_array().map(Vec::len), Some(2));
         assert_eq!(v["report"]["conserved"].as_bool(), Some(true));
     }
@@ -580,7 +571,7 @@ mod tests {
         let ctx = ExpCtx::new(1);
         let spec = EngineRunSpec {
             packets: 20_000,
-            rx_queues: 2,
+            datapath: DatapathMode::Rtc,
             source: EngineSource::Compiled,
             ..EngineRunSpec::default()
         };

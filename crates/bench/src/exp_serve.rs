@@ -52,8 +52,6 @@ use std::time::{Duration, Instant};
 pub struct ServeSpec {
     /// Worker shards (threads).
     pub shards: usize,
-    /// RX dispatcher queues (threads).
-    pub rx_queues: usize,
     /// Packets per segment (the workload is cycled to this length).
     pub packets: usize,
     /// Packets per dispatch batch.
@@ -94,7 +92,6 @@ impl Default for ServeSpec {
     fn default() -> ServeSpec {
         ServeSpec {
             shards: 2,
-            rx_queues: 1,
             packets: 200_000,
             batch: 64,
             host_workers: 1,
@@ -120,7 +117,6 @@ fn serve_control_config(spec: &ServeSpec) -> smartwatch_runtime::ControlConfig {
     let rate = spec.rate_mpps.unwrap_or(2.0).max(0.05);
     control_config(&ControlRunSpec {
         shards: spec.shards,
-        rx_queues: spec.rx_queues,
         epoch_ms: spec.epoch_ms,
         base_mpps: rate,
         peak_mpps: 4.0 * rate,
@@ -594,7 +590,6 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
     );
 
     let mut cfg = EngineConfig::new(spec.shards);
-    cfg.rx_queues = spec.rx_queues;
     cfg.batch = spec.batch;
     cfg.host_workers = spec.host_workers;
     cfg.carry_flow_state = spec.carry_flow_state;
@@ -680,7 +675,6 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
 struct ServeBenchJson {
     bench: String,
     shards: usize,
-    rx_queues: usize,
     segments: usize,
     segment_packets: usize,
     rate_mpps: Option<f64>,
@@ -704,7 +698,6 @@ pub fn serve_bench_json(spec: &ServeSpec, out: &ServeOutcome) -> String {
     let v = ServeBenchJson {
         bench: "serve".to_string(),
         shards: spec.shards,
-        rx_queues: spec.rx_queues,
         segments: out.segments.len(),
         segment_packets: spec.packets,
         rate_mpps: spec.rate_mpps,

@@ -20,7 +20,7 @@
 //! live. Every admin edit rides the engine's lock-free publication
 //! machinery — steering/mode/shed commands queue into the bounded
 //! [`AdminCmd`] mailbox and are applied by the controller thread at the
-//! next epoch boundary; pacing changes flip one atomic the dispatchers
+//! next epoch boundary; pacing changes flip one atomic the ingest units
 //! re-read at checkpoints; drain raises the graceful-quiesce flag. The
 //! packet hot loop never takes a lock on behalf of an operator.
 //!

@@ -8,7 +8,7 @@
 //! segments, or via [`drain_watch`], which polls from a helper thread
 //! and translates the first observation into
 //! [`Engine::request_drain`](smartwatch_runtime::Engine::request_drain),
-//! so the mesh quiesces through the exact end-of-trace path and the
+//! so the engine quiesces through the exact end-of-trace path and the
 //! final summary is still conserved.
 //!
 //! The second signal falls back to the process default (the handler is

@@ -38,20 +38,70 @@ fn repro_rejects_unknown_flag_even_next_to_a_valid_experiment() {
     assert!(stderr.contains("unknown flag \"--bogus-flag\""));
 }
 
-#[test]
-fn repro_rejects_rx_queues_with_rtc_datapath() {
-    // The fused datapath has no dispatcher tier: an explicit
-    // `--rx-queues` cannot be honoured and must fail fast (exit 2)
-    // with a named explanation, not run with the flag silently ignored.
-    let (_, stderr, ok) = run(
-        env!("CARGO_BIN_EXE_repro"),
-        &["engine", "--datapath", "rtc", "--rx-queues", "2"],
-    );
-    assert!(!ok);
+/// Run `repro` with `args` and assert it exits 2 naming `flag` as a
+/// flag the selected experiment does not read (instead of running with the
+/// flag silently dropped).
+fn assert_flag_rejected(args: &[&str], want: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(
-        stderr.contains("--rx-queues does not apply to `--datapath rtc`"),
-        "want the named contradiction, got: {stderr}"
+        stderr.contains(want),
+        "{args:?}: want {want:?}, got: {stderr}"
     );
+}
+
+#[test]
+fn repro_rejects_datapath_for_control() {
+    // `control` always runs the pipeline: an RTC request cannot be
+    // honoured there.
+    let bench = std::env::temp_dir().join(format!("repro-cli-c-{}.json", std::process::id()));
+    assert_flag_rejected(
+        &[
+            "control",
+            "--shards",
+            "2",
+            "--datapath",
+            "rtc",
+            "--bench-json",
+            bench.to_str().unwrap(),
+        ],
+        "--datapath does not apply to `control`",
+    );
+}
+
+#[test]
+fn repro_rejects_trace_sample_for_soak() {
+    // The service experiments run no sampled wall-clock tracing, so the
+    // trace would come out empty.
+    let trace = std::env::temp_dir().join(format!("repro-cli-t-{}.json", std::process::id()));
+    assert_flag_rejected(
+        &[
+            "soak",
+            "--trace-sample",
+            "1",
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ],
+        "--trace-sample does not apply to `soak`",
+    );
+}
+
+#[test]
+fn repro_rejects_a_serve_only_flag_for_engine() {
+    assert_flag_rejected(
+        &["engine", "--segments", "2"],
+        "--segments does not apply to `engine`",
+    );
+}
+
+#[test]
+fn repro_rejects_a_runtime_flag_without_a_runtime_experiment() {
+    // A paper experiment reads none of the runtime flags.
+    assert_flag_rejected(&["fig3", "--shards", "2"], "--shards only applies to");
 }
 
 #[test]

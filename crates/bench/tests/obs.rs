@@ -8,7 +8,7 @@ use smartwatch_bench::exp_engine::{
     engine_run_full, engine_workload, EngineRunSpec, EngineWorkload,
 };
 use smartwatch_bench::{serve, workloads, ExpCtx};
-use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, MergePolicy, Pace};
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, Pace};
 use smartwatch_snic::Mode;
 use smartwatch_telemetry::FlightKind;
 use smartwatch_trace::background::Preset;
@@ -46,13 +46,14 @@ fn queue_section(ctx: &ExpCtx) -> String {
 
 /// S4: the per-queue counter families are complete (every family ×
 /// every queue label) and byte-deterministic across same-spec runs,
-/// for 1, 2 and 4 RX queues.
+/// for 1, 2 and 4 RTC cores (one ingest unit each).
 #[test]
 fn per_queue_prometheus_families_are_complete_and_deterministic() {
-    for rx_queues in [1usize, 2, 4] {
+    for cores in [1usize, 2, 4] {
         let spec = EngineRunSpec {
             packets: 20_000,
-            rx_queues,
+            shards: cores,
+            datapath: DatapathMode::Rtc,
             ..EngineRunSpec::default()
         };
         let run = || {
@@ -65,7 +66,7 @@ fn per_queue_prometheus_families_are_complete_and_deterministic() {
         let b = run();
         assert_eq!(
             a, b,
-            "per-queue counter families must be byte-deterministic for rx_queues={rx_queues}"
+            "per-queue counter families must be byte-deterministic for cores={cores}"
         );
         for family in [
             "runtime_queue_offered",
@@ -76,13 +77,13 @@ fn per_queue_prometheus_families_are_complete_and_deterministic() {
         ] {
             assert!(
                 a.contains(&format!("# TYPE {family} counter")),
-                "missing TYPE line for {family} at rx_queues={rx_queues}"
+                "missing TYPE line for {family} at cores={cores}"
             );
-            for q in 0..rx_queues {
+            for q in 0..cores {
                 let series = format!("{family}{{queue=\"{q}\"}}");
                 assert!(
                     a.contains(&series),
-                    "missing series {series} at rx_queues={rx_queues}:\n{a}"
+                    "missing series {series} at cores={cores}:\n{a}"
                 );
             }
         }
@@ -97,7 +98,6 @@ fn traced_run_covers_every_engine_thread() {
     let ctx = ExpCtx::new(1);
     let spec = EngineRunSpec {
         packets: 20_000,
-        rx_queues: 2,
         workload: EngineWorkload::Mix, // exercises host escalation
         trace_sample: 1,
         ..EngineRunSpec::default()
@@ -129,13 +129,7 @@ fn traced_run_covers_every_engine_thread() {
             span_tids.push(tid);
         }
     }
-    for thread in [
-        "sw-rxq-0",
-        "sw-rxq-1",
-        "sw-shard-0",
-        "sw-shard-1",
-        "sw-host-0",
-    ] {
+    for thread in ["sw-rxq-0", "sw-shard-0", "sw-shard-1", "sw-host-0"] {
         let tid = tracks
             .iter()
             .find(|(_, n)| n == thread)
@@ -200,9 +194,9 @@ fn live_stats_match_the_final_report() {
     }
 }
 
-/// Tentpole: under [`MergePolicy::Ordered`] the flight recorder's
-/// control-thread ring reproduces the controller's mode-switch and
-/// shed sequence exactly as the [`ControlReport`] timeline records it.
+/// Tentpole: the flight recorder's control-thread ring reproduces the
+/// controller's mode-switch and shed sequence exactly as the
+/// [`ControlReport`] timeline records it.
 #[test]
 fn ordered_flight_recorder_mirrors_the_control_timeline() {
     let spec = ControlRunSpec {
@@ -211,8 +205,7 @@ fn ordered_flight_recorder_mirrors_the_control_timeline() {
     };
     let base = workloads::caida_64b(Preset::Caida2018, 1, 0xC7).into_packets();
     let packets: Vec<_> = base.iter().cycle().take(spec.packets).copied().collect();
-    let mut cfg = EngineConfig::new(spec.shards);
-    cfg.merge = MergePolicy::Ordered;
+    let cfg = EngineConfig::new(spec.shards);
     let engine = Engine::new(cfg.with_control(control_config(&spec)));
     let report = engine.run(
         &packets,

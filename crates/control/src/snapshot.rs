@@ -1,10 +1,11 @@
 //! RCU-style steering-state publication.
 //!
 //! The controller publishes immutable [`SteeringSnapshot`]s through a
-//! [`SnapshotCell`]; every RX-queue dispatcher and every shard hold
-//! their *own* [`SnapshotReader`] — readers are independent cursors, so
-//! a multi-queue engine hands one to each of its R dispatcher threads
-//! and they refresh (and lag) independently without coordination. The
+//! [`SnapshotCell`]; every ingest unit (the pipeline's dispatcher or an
+//! RTC core) and every shard hold their *own* [`SnapshotReader`] —
+//! readers are independent cursors, so a multi-core engine hands one to
+//! each ingest thread and they refresh (and lag) independently without
+//! coordination. The
 //! protocol:
 //!
 //! 1. The publisher builds a fresh snapshot (a new `Arc`), stores it in

@@ -37,12 +37,6 @@ pub struct DigestedPacket {
     pub canon: smartwatch_net::FlowKey,
     /// Symmetric digest of `canon` under the engine's hash seed.
     pub digest: HashDigest,
-    /// Global arrival index of the packet in the offered sequence.
-    /// Within any one RX queue's sub-stream this is strictly increasing,
-    /// which is what lets a shard's ordered merge reconstruct the exact
-    /// single-queue processing order from R lanes (see
-    /// [`crate::MergePolicy::Ordered`]).
-    pub seq: u64,
 }
 
 /// One dispatched batch: pre-digested packets plus the enqueue instant
@@ -195,12 +189,7 @@ mod tests {
         );
         let pkt = PacketBuilder::new(key, Ts::ZERO).build();
         let (canon, digest) = FlowHasher::new(0x51CC).digest_symmetric(&key);
-        DigestedPacket {
-            pkt,
-            canon,
-            digest,
-            seq: u64::from(i),
-        }
+        DigestedPacket { pkt, canon, digest }
     }
 
     #[test]

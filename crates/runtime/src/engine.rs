@@ -2,26 +2,21 @@
 //! run skeleton, a host escalation pool, graceful drain, and a
 //! wall-clock throughput/latency report.
 //!
-//! [`DatapathMode::Pipeline`] runs R RX-queue dispatchers feeding N
-//! shard threads over an R×N mesh of bounded SPSC lanes:
+//! [`DatapathMode::Pipeline`] runs one dispatcher (`sw-rxq-0`) feeding
+//! N shard threads over one bounded SPSC lane each:
 //!
 //! ```text
-//!            ┌ rxq 0: digest+steer ┐   ┌─ shard 0: FlowCache + suite ─┐
-//! packets →  │ rxq 1: …            │ × │  shard 1: …                  │ → verdicts
-//! (RSS       │   R×N SPSC lanes    │   │  shard N-1: …                │   (epoch-
-//!  split)    └ rxq R-1: …          ┘   └── suspects ─→ host pool ─────┘    stamped log)
+//!                              ┌─ shard 0: FlowCache + suite ─┐
+//! packets → rxq 0: digest+steer → shard 1: …                  │ → verdicts
+//!           (one SPSC lane     │  shard N-1: …                │   (epoch-
+//!            per shard)        └── suspects ─→ host pool ─────┘    stamped log)
 //! ```
-//!
-//! The offered trace is pre-split into R per-queue sub-streams by
-//! flow digest ([`smartwatch_net::hash::queue_for_digest`], a salted
-//! splitmix64 remix — the software model of multi-queue NIC RSS), so
-//! each dispatcher owns complete flows and intra-flow order survives.
-//! Every (queue, shard) pair gets its own single-producer ring; shards
-//! merge their R lanes under a [`MergePolicy`].
 //!
 //! [`DatapathMode::Rtc`] fuses ingest and shard into one `sw-core-{i}`
 //! thread per partition, pre-split by the shard mapping itself, and
-//! processes each batch in place with no queue crossing.
+//! processes each batch in place with no queue crossing. It is the only
+//! topology with more than one ingest unit: each core drains its own RSS
+//! sub-stream, the software model of a multi-queue NIC.
 //!
 //! Both topologies drive the same ingest front end (`Ingest`): bursts
 //! of up to eight digested packets from either [`FrameSource`], one
@@ -37,8 +32,8 @@
 //! with `std::time::Instant`, and reports Mpps. Packet `ts` fields are
 //! replay metadata here, not the clock. Counters remain exact — the
 //! conservation invariant (offered = processed + ingest_drop + shed +
-//! steer_drop, per shard, per queue, and in total) holds for every
-//! shard count, queue count, and pacing mode.
+//! steer_drop, per shard, per ingest unit, and in total) holds for every
+//! shard count, datapath, and pacing mode.
 
 use crate::batch::{Backoff, Batch, BufferPool, DigestedPacket};
 use crate::control::{ControlLog, LogReader};
@@ -47,8 +42,8 @@ use crate::frame::{FramePool, FrameSlot};
 use crate::obs::{ThreadTrace, TraceSpec};
 use crate::service::{AdminCmd, AdminQueue, ServiceStats};
 use crate::shard::{
-    ControlHooks, Escalation, LaneRx, MergePolicy, ShardCounters, ShardEndState, ShardMsg,
-    ShardObs, ShardStats, ShardWorker, StageHists, PROBE_HIST_SLOTS,
+    ControlHooks, Escalation, LaneRx, ShardCounters, ShardEndState, ShardMsg, ShardObs, ShardStats,
+    ShardWorker, StageHists, PROBE_HIST_SLOTS,
 };
 use crate::spsc::{spsc, Producer};
 use serde::{Serialize, Value};
@@ -56,7 +51,7 @@ use smartwatch_control::{
     ControlConfig, ControlReport, Controller, EpochInput, ModeCell, ShardSample, SnapshotCell,
     SnapshotReader, SteeringSnapshot,
 };
-use smartwatch_net::hash::{queue_for_digest, shard_for_digest, splitmix64};
+use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{FlowHasher, FrameStore, FrameView, HashDigest, Packet, RawTuple};
 use smartwatch_snic::{FlowCache, FlowCacheConfig, Mode};
 use smartwatch_telemetry::{
@@ -72,22 +67,22 @@ use std::time::{Duration, Instant};
 /// How the engine maps the pipeline onto threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DatapathMode {
-    /// The R×N mesh: R RX-queue dispatcher threads digest and steer,
-    /// N shard threads process, bounded SPSC lanes in between. The
-    /// default, and the only mode where `rx_queues > 1` is meaningful.
+    /// One dispatcher thread digests and steers, N shard threads
+    /// process, one bounded SPSC lane per shard in between. The
+    /// default.
     Pipeline,
     /// Run-to-completion: C = `shards` fused `sw-core-{i}` threads,
     /// each owning one shard partition *and* its ingest. The pre-split
-    /// assigns packets by [`shard_for_digest`] directly (no salted
-    /// queue remix), so every flow's packets arrive at the core that
-    /// owns its FlowCache rows, and the fast path — ingest → digest →
-    /// FlowCache → detectors → verdict — runs in place with zero
-    /// inter-thread queue crossings. Host escalation and control-plane
+    /// assigns packets by [`shard_for_digest`], so every flow's packets
+    /// arrive at the core that owns its FlowCache rows, and the fast
+    /// path — ingest → digest → FlowCache → detectors → verdict — runs
+    /// in place with zero inter-thread queue crossings. It is the
+    /// engine's multi-queue ingest: one RSS sub-stream per core.
+    /// Host escalation and control-plane
     /// sampling keep their existing channels. Decisions, counters and
     /// the deterministic summary are identical to [`Pipeline`] for the
-    /// same seed (`DatapathMode::Pipeline` with `rx_queues = 1`);
-    /// only the thread topology — and therefore the wall clock —
-    /// changes.
+    /// same seed; only the thread topology — and therefore the wall
+    /// clock — changes.
     ///
     /// [`Pipeline`]: DatapathMode::Pipeline
     /// [`shard_for_digest`]: smartwatch_net::hash::shard_for_digest
@@ -100,11 +95,10 @@ pub struct EngineConfig {
     /// Worker shards (threads). Each owns a FlowCache partition and a
     /// full detector suite.
     pub shards: usize,
-    /// Thread topology: the R×N dispatcher/shard mesh
+    /// Thread topology: one dispatcher feeding the shards
     /// ([`DatapathMode::Pipeline`], the default) or fused
-    /// run-to-completion cores ([`DatapathMode::Rtc`]). In RTC mode
-    /// `rx_queues` is ignored — the ingest unit count *is* the shard
-    /// count.
+    /// run-to-completion cores ([`DatapathMode::Rtc`]), one ingest unit
+    /// per shard.
     pub datapath: DatapathMode,
     /// Pin each RTC core to the CPU of its index: `sw-core-{i}` calls
     /// `sched_setaffinity` at startup. Only [`DatapathMode::Rtc`]
@@ -114,17 +108,11 @@ pub struct EngineConfig {
     /// Decisions and counters are identical either way; only scheduler
     /// placement changes.
     pub pin_cores: bool,
-    /// RX-queue dispatcher threads (the multi-queue NIC model). Each
-    /// owns a digest-split sub-stream of the offered trace, its own
-    /// buffer pool and steering-snapshot reader, and one SPSC lane per
-    /// shard (an R×N mesh). `1` reproduces the classic single-dispatcher
-    /// hot path.
+    /// Pipeline dispatcher threads. Always `1` (the engine asserts it):
+    /// multi-queue ingest is the RTC datapath's, one ingest unit per
+    /// core. The field stays only because the benchmark's thread-budget
+    /// self-test reads it; it goes with the next benchmark change.
     pub rx_queues: usize,
-    /// How shards interleave their R ingest lanes. [`MergePolicy::Fair`]
-    /// (the default) round-robins whole batches for throughput;
-    /// [`MergePolicy::Ordered`] k-way-merges by arrival sequence so the
-    /// deterministic summary is byte-identical for any `rx_queues`.
-    pub merge: MergePolicy,
     /// Packets per dispatch batch.
     pub batch: usize,
     /// Per-shard ingest queue capacity, in batches.
@@ -177,7 +165,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Defaults for `shards` workers: one RX queue (fair-merged),
+    /// Defaults for `shards` workers: the pipeline datapath,
     /// 64-packet batches, 64-batch queues, 2^12-row partitions, one
     /// host worker.
     pub fn new(shards: usize) -> EngineConfig {
@@ -186,7 +174,6 @@ impl EngineConfig {
             datapath: DatapathMode::Pipeline,
             pin_cores: false,
             rx_queues: 1,
-            merge: MergePolicy::Fair,
             batch: 64,
             queue_batches: 64,
             cache_row_bits: 12,
@@ -210,27 +197,23 @@ impl EngineConfig {
         self
     }
 
-    /// The byte-deterministic replay recipe with `rx_queues` dispatchers:
-    /// one shard, inline triage (`host_workers = 0`, no thread-timing
-    /// races on the verdict log) and the ordered lane merge (shard
-    /// processing order independent of dispatcher scheduling). Two
-    /// same-seed runs — at *any* queue count — produce byte-identical
-    /// [`EngineReport::deterministic_summary`] output.
-    pub fn deterministic(rx_queues: usize) -> EngineConfig {
+    /// The byte-deterministic replay recipe: one shard and inline
+    /// triage (`host_workers = 0`, no thread-timing races on the
+    /// verdict log). Two same-seed runs — on either datapath — produce
+    /// byte-identical [`EngineReport::deterministic_summary`] output.
+    pub fn deterministic() -> EngineConfig {
         let mut cfg = EngineConfig::new(1);
-        cfg.rx_queues = rx_queues;
-        cfg.merge = MergePolicy::Ordered;
         cfg.host_workers = 0;
         cfg
     }
 
-    /// Ingest units the engine actually runs: the dispatcher count in
+    /// Ingest units the engine actually runs: the one dispatcher in
     /// pipeline mode, the fused core (= shard) count in RTC mode. This
     /// is how many `runtime.queue.*{queue=Q}` label sets the run
     /// populates and how many entries [`EngineReport::queues`] carries.
     pub fn ingest_units(&self) -> usize {
         match self.datapath {
-            DatapathMode::Pipeline => self.rx_queues,
+            DatapathMode::Pipeline => 1,
             DatapathMode::Rtc => self.shards,
         }
     }
@@ -294,9 +277,9 @@ impl FrameSource<'_> {
 }
 
 /// Reusable run-scoped resources parked between `run*` calls so a
-/// long-running service allocates nothing per segment: per-queue batch
+/// long-running service allocates nothing per segment: per-unit batch
 /// buffer pools and (wire mode) frame pools always; per-shard
-/// FlowCaches when [`EngineConfig::carry_flow_state`] is set. The mesh
+/// FlowCaches when [`EngineConfig::carry_flow_state`] is set. The thread
 /// shape is fixed per engine, so whatever is parked always fits.
 #[derive(Default)]
 struct Garage {
@@ -423,7 +406,10 @@ impl Engine {
     /// Engine publishing into an existing registry (`runtime.*` metrics).
     pub fn with_registry(cfg: EngineConfig, registry: &Registry) -> Engine {
         assert!(cfg.shards >= 1, "engine needs at least one shard");
-        assert!(cfg.rx_queues >= 1, "engine needs at least one RX queue");
+        assert!(
+            cfg.rx_queues == 1,
+            "the pipeline runs one dispatcher; multi-queue ingest is `DatapathMode::Rtc`"
+        );
         assert!(cfg.batch >= 1, "batch size must be at least 1");
         assert!(cfg.queue_batches >= 1, "queue must hold at least 1 batch");
         let books = Books::registered(&cfg, registry);
@@ -523,7 +509,7 @@ impl Engine {
 
     /// Attach a chrome-trace sink. Spans are emitted only when
     /// [`EngineConfig::trace_sample`] is non-zero; each engine thread
-    /// opens its own track (`sw-rxq-{q}` and `sw-shard-{i}` in pipeline
+    /// opens its own track (`sw-rxq-0` and `sw-shard-{i}` in pipeline
     /// mode, `sw-core-{i}` in RTC mode, plus `sw-host-{w}` and
     /// `sw-control`) named after the OS thread.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
@@ -651,8 +637,8 @@ impl Engine {
     /// parses the Ethernet/IPv4/transport headers in place with
     /// [`FrameView`], digests straight from the header bytes
     /// ([`FlowHasher::digest_batch8`]) and recycles the slots —
-    /// allocation-free in steady state. With the ordered merge (or the
-    /// RTC datapath) the resulting
+    /// allocation-free in steady state. Under the
+    /// [`EngineConfig::deterministic`] recipe the resulting
     /// [`EngineReport::deterministic_summary`] is byte-identical to the
     /// synthetic run of the same packets.
     pub fn run_frames(&self, store: &FrameStore, pace: Pace) -> EngineReport {
@@ -746,10 +732,9 @@ impl Engine {
         } = std::mem::take(&mut *self.garage.lock().expect("garage poisoned"));
         // FIFO un-parking preserves affinity (pop order matches park
         // order): each ingest unit gets its *own* warmed pool back and
-        // shard `i` gets shard `i`'s cache. The salted RSS split is
-        // uneven, so a LIFO swap would hand the heaviest queue the
-        // lightest pool and pay a one-time re-allocation every time the
-        // assignment flips.
+        // shard `i` gets shard `i`'s cache. The RSS split is uneven, so
+        // a LIFO swap would hand the heaviest core the lightest pool and
+        // pay a one-time re-allocation every time the assignment flips.
         let mut parked_pools: VecDeque<BufferPool> = parked_pools.into();
         let mut parked_frames: VecDeque<FramePool> = parked_frames.into();
         let mut parked_caches: VecDeque<FlowCache> = if cfg.carry_flow_state {
@@ -803,8 +788,6 @@ impl Engine {
                     host_processed.clone(),
                     cfg.enforce_verdicts,
                     hasher,
-                    cfg.merge,
-                    cfg.batch,
                     cfg.cache_burst,
                     shard_hooks[i].take(),
                     ShardObs {
@@ -817,35 +800,26 @@ impl Engine {
             .collect();
 
         // ── Ingest split ────────────────────────────────────────────
-        // Untimed, like the NIC's RSS or flow steering (hardware does it
-        // for free). The pipeline spreads flows across its R queues by
-        // salted digest remix; RTC assigns each packet straight to the
-        // core that owns its FlowCache rows. The timed front ends still
-        // digest every packet themselves, so per-packet work is the same
-        // at every unit count and on both datapaths, and the Mpps
-        // comparison stays honest.
+        // Untimed, like the NIC's RSS (hardware does it for free). The
+        // pipeline's one dispatcher takes the whole source; RTC assigns
+        // each packet straight to the core that owns its FlowCache rows.
+        // The timed front ends still digest every packet themselves, so
+        // per-packet work is the same at every unit count and on both
+        // datapaths, and the Mpps comparison stays honest.
         let plan = PacePlan::resolve(pace, source.len());
-        let streams = match cfg.datapath {
-            DatapathMode::Pipeline => {
-                let salt = splitmix64(cfg.hash_seed);
-                split_streams(source, units, &hasher, |d| queue_for_digest(d, salt, units))
-            }
-            DatapathMode::Rtc => {
-                split_streams(source, units, &hasher, |d| shard_for_digest(d, units))
-            }
-        };
+        let mut streams = split_streams(source, units, &hasher);
 
-        // ── Ingest front ends: one per dispatcher or fused core ─────
+        // ── Ingest front ends: the dispatcher or one per fused core ──
         let start = Instant::now();
         self.run.lock().expect("run books poisoned").base.start = Some(start);
-        let fronts: Vec<(Ingest<'_>, BufferPool)> = (0..units)
+        let mut fronts: Vec<(Ingest<'_>, BufferPool)> = (0..units)
             .map(|u| {
                 let name = if rtc {
                     format!("sw-core-{u}")
                 } else {
                     format!("sw-rxq-{u}")
                 };
-                // A dispatcher's pool covers every buffer it can have
+                // The dispatcher's pool covers every buffer it can have
                 // alive at once — n full lanes plus each shard's batch in
                 // hand, its staged buffers and the one just acquired —
                 // with headroom, so the *entire* working set survives an
@@ -901,57 +875,37 @@ impl Engine {
         let (ends, shard_ends): (Vec<IngestEnd>, Vec<(ShardEndState, FlowCache)>) =
             std::thread::scope(|scope| match cfg.datapath {
                 DatapathMode::Pipeline => {
-                    // The R×N lane mesh: one single-producer ring per
-                    // (queue, shard) pair, so the SPSC discipline
-                    // survives multi-queue ingest. Each lane carries a
-                    // recycler into the pool of the queue that owns it,
-                    // so drained buffers go home to the dispatcher that
-                    // allocated them.
-                    let mut producer_rows: Vec<Vec<Producer<ShardMsg>>> =
-                        (0..units).map(|_| Vec::with_capacity(n)).collect();
-                    let mut lane_rows: Vec<Vec<LaneRx>> =
-                        (0..n).map(|_| Vec::with_capacity(units)).collect();
-                    for (row, (_, bufs)) in producer_rows.iter_mut().zip(&fronts) {
-                        for lanes in lane_rows.iter_mut() {
+                    // One lane per shard, each carrying a recycler into
+                    // the dispatcher's one pool, so drained buffers go
+                    // home to the thread that allocated them.
+                    let (front, bufs) = fronts.pop().expect("one dispatcher");
+                    let stream = streams.pop().expect("one dispatcher stream");
+                    let (producers, lanes): (Vec<Producer<ShardMsg>>, Vec<LaneRx>) = (0..n)
+                        .map(|_| {
                             let (tx, rx) = spsc::<ShardMsg>(cfg.queue_batches);
-                            row.push(tx);
-                            lanes.push(LaneRx {
-                                rx,
-                                recycle: bufs.recycler(),
-                            });
-                        }
-                    }
+                            let recycle = bufs.recycler();
+                            (tx, LaneRx { rx, recycle })
+                        })
+                        .unzip();
                     // Shards first, so every lane has a consumer before
-                    // its dispatcher starts pushing.
+                    // the dispatcher starts pushing.
                     let shards: Vec<_> = workers
                         .into_iter()
-                        .zip(lane_rows)
+                        .zip(lanes)
                         .enumerate()
-                        .map(|(i, (worker, lanes))| {
+                        .map(|(i, (worker, lane))| {
                             std::thread::Builder::new()
                                 .name(format!("sw-shard-{i}"))
-                                .spawn_scoped(scope, move || worker.run(lanes))
+                                .spawn_scoped(scope, move || worker.run(lane))
                                 .expect("spawn shard thread")
                         })
                         .collect();
-                    let dispatchers: Vec<_> = fronts
-                        .into_iter()
-                        .zip(streams)
-                        .zip(producer_rows)
-                        .enumerate()
-                        .map(|(q, (((front, bufs), stream), producers))| {
-                            let sink =
-                                LaneSink::new(cfg.batch, plan.paced(), bufs, producers, counters);
-                            std::thread::Builder::new()
-                                .name(format!("sw-rxq-{q}"))
-                                .spawn_scoped(scope, move || front.run(source, stream, sink).0)
-                                .expect("spawn dispatcher thread")
-                        })
-                        .collect();
-                    let ends = dispatchers
-                        .into_iter()
-                        .map(|h| h.join().expect("dispatcher thread panicked"))
-                        .collect();
+                    let sink = LaneSink::new(cfg.batch, plan.paced(), bufs, producers, counters);
+                    let dispatcher = std::thread::Builder::new()
+                        .name("sw-rxq-0".into())
+                        .spawn_scoped(scope, move || front.run(source, stream, sink).0)
+                        .expect("spawn dispatcher thread");
+                    let ends = vec![dispatcher.join().expect("dispatcher thread panicked")];
                     let shard_ends = shards
                         .into_iter()
                         .map(|h| h.join().expect("shard thread panicked"))
@@ -1188,8 +1142,8 @@ fn queue_stats_delta(now: QueueStats, base: &QueueStats) -> QueueStats {
 /// A [`Pace`] resolved against the trace length into a closed-form
 /// arrival schedule over *global* packet indices. Every ingest unit
 /// computes its packets' due times from their global sequence numbers,
-/// so R queues (or C cores) replay the same wall-clock arrival process
-/// a single unit would — the spike hits every unit in the same window.
+/// so C cores replay the same wall-clock arrival process a single unit
+/// would — the spike hits every unit in the same window.
 #[derive(Clone, Copy, Debug)]
 enum PacePlan {
     Flatout,
@@ -1314,19 +1268,13 @@ enum QueueStream {
 }
 
 /// Split the trace across `units` ingest units, sending each packet to
-/// `unit_of(flow digest)`: the salted queue remix for the pipeline's RX
-/// queues, the shard mapping for RTC cores. Both are pure functions of
-/// the digest, so the sub-streams are reproducible across runs. Wire
+/// the core that owns its flow ([`shard_for_digest`], a pure function
+/// of the digest, so the sub-streams are reproducible across runs). Wire
 /// sources digest from the raw header bytes
 /// ([`FlowHasher::digest_raw`], bit-identical to the key-based digest),
 /// so the same flow lands on the same unit whichever representation the
 /// engine replays.
-fn split_streams(
-    source: FrameSource<'_>,
-    units: usize,
-    hasher: &FlowHasher,
-    unit_of: impl Fn(HashDigest) -> usize,
-) -> Vec<QueueStream> {
+fn split_streams(source: FrameSource<'_>, units: usize, hasher: &FlowHasher) -> Vec<QueueStream> {
     if units == 1 {
         return vec![QueueStream::All];
     }
@@ -1339,7 +1287,7 @@ fn split_streams(
             FrameSource::Packets(packets) => hasher.hash_symmetric(&packets[i].key),
             FrameSource::Wire(store) => hasher.digest_raw(store.view(i).raw_tuple()).1,
         };
-        picked[unit_of(digest)].push(i as u32);
+        picked[shard_for_digest(digest, units)].push(i as u32);
     }
     picked.into_iter().map(QueueStream::Picked).collect()
 }
@@ -1515,7 +1463,6 @@ impl Ingest<'_> {
                             pkt: packets[i],
                             canon,
                             digest,
-                            seq: i as u64,
                         };
                         self.admit(dp, sink);
                     }
@@ -1579,7 +1526,6 @@ impl Ingest<'_> {
                     pkt: store.meta(i).packet(&view),
                     canon,
                     digest,
-                    seq: i as u64,
                 });
             }
         }
@@ -1686,7 +1632,7 @@ impl Ingest<'_> {
     }
 }
 
-/// The pipeline's sink — an `sw-rxq-{q}` dispatcher thread: stage each
+/// The pipeline's sink — the `sw-rxq-0` dispatcher thread: stage each
 /// packet into its shard's batch buffer and push full batches down that
 /// shard's SPSC lane.
 struct LaneSink<'a> {
@@ -1694,10 +1640,10 @@ struct LaneSink<'a> {
     /// Open loop: a full lane at arrival time is an accounted drop, not
     /// backpressure.
     paced: bool,
-    /// Owned, not shared: a pool's receiver is single-consumer, so each
-    /// dispatcher allocates from (and paced drops return to) its own.
+    /// The dispatcher allocates from (and paced drops return to) this
+    /// pool; the shards recycle into it.
     pool: BufferPool,
-    /// This queue's row of the mesh: one producer per shard.
+    /// One lane producer per shard.
     producers: Vec<Producer<ShardMsg>>,
     /// Per-shard staging buffers, flushed at `batch` packets.
     bufs: Vec<Vec<DigestedPacket>>,
@@ -1758,9 +1704,6 @@ impl<'a> LaneSink<'a> {
             self.counters[s].ingested.add(len);
             local.ingested += len;
         }
-        // With R queues the gauge tracks this lane's depth (last writer
-        // wins across queues; the peak gauge is a max, so it stays a
-        // true high-water mark of any single lane).
         let depth = tx.len() as f64;
         self.counters[s].queue_depth.set(depth);
         self.counters[s].queue_depth_peak.set_max(depth);
@@ -2114,7 +2057,7 @@ fn controller_loop(
     }
 }
 
-/// Per-ingest-unit counters (an RX-queue dispatcher, or an RTC core),
+/// Per-ingest-unit counters (the pipeline dispatcher, or an RTC core),
 /// registered as `runtime.queue.*{queue=Q}`.
 #[derive(Clone)]
 pub(crate) struct QueueCounters {
@@ -2339,9 +2282,8 @@ pub struct EngineReport {
     pub elapsed: Duration,
     /// Per-shard statistics.
     pub shards: Vec<ShardStats>,
-    /// Per-ingest-unit statistics (RX-queue dispatchers, or RTC cores),
-    /// in unit order (canonical: unit 0 first — merge order never
-    /// depends on thread timing).
+    /// Per-ingest-unit statistics (the one pipeline dispatcher, or one
+    /// per RTC core), in unit order.
     pub queues: Vec<QueueStats>,
     /// Escalated packets processed by the host tier (pool or inline).
     pub host_processed: u64,
@@ -2352,7 +2294,7 @@ pub struct EngineReport {
     /// actually offered before stopping, so conservation still holds.
     pub interrupted: bool,
     /// Verdict-log entries still resident (slowest reader's lag) at
-    /// mesh quiesce, before the controller's final drain — the soak
+    /// quiesce, before the controller's final drain — the soak
     /// harness trends this for leak detection.
     pub log_buffered: u64,
     /// Control-plane report (present when the engine ran with a
@@ -2433,16 +2375,11 @@ impl EngineReport {
         }
     }
 
-    /// RX dispatcher queues the run used.
-    pub fn rx_queues(&self) -> usize {
-        self.queues.len()
-    }
-
     /// The conservation invariant: every offered packet is either
     /// processed by exactly one shard or dropped with accounting
     /// (ingest overrun, load shed, or steering blacklist) — and the
-    /// books balance on *both* axes of the mesh: per shard
-    /// (`ingested = processed`) and per RX queue
+    /// books balance on *both* axes: per shard (`ingested = processed`)
+    /// and per ingest unit
     /// (`offered = ingested + ingest_dropped + shed + steer_dropped`),
     /// with the two sides agreeing on the totals.
     pub fn conserved(&self) -> bool {
@@ -2462,14 +2399,13 @@ impl EngineReport {
     }
 
     /// A byte-stable rendering of every *deterministic* quantity (exact
-    /// counters; no wall-clock values). With one shard, inline triage
-    /// (`host_workers = 0`) and the ordered lane merge, two same-seed
-    /// runs produce identical strings *at any `rx_queues`* — the
-    /// determinism tests diff exactly this. Per-shard lines merge the R
-    /// queues' contributions canonically (each counter is the order-free
-    /// sum over queues); per-queue breakdowns deliberately stay out of
-    /// this rendering — they live in [`EngineReport::queues`] — because
-    /// printing them would make the byte output depend on R.
+    /// counters; no wall-clock values). Under
+    /// [`EngineConfig::deterministic`] (one shard, inline triage) two
+    /// same-seed runs produce identical strings on either datapath — the
+    /// determinism tests and the CI goldens diff exactly this. Per-unit
+    /// breakdowns stay out of this rendering — they live in
+    /// [`EngineReport::queues`] — because printing them would make the
+    /// byte output depend on the topology.
     pub fn deterministic_summary(&self) -> String {
         let mut out = format!("offered={}\n", self.offered);
         for (i, s) in self.shards.iter().enumerate() {

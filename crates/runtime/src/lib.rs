@@ -12,7 +12,7 @@
 //!   key + symmetric hash computed once at dispatch), pooled batch
 //!   buffers recycled shard→dispatcher, and the bounded idle backoff.
 //! * [`frame`] — fixed-capacity frame buffers ([`FramePool`]) for the
-//!   zero-copy wire ingest path: dispatchers load raw frames into pooled
+//!   zero-copy wire ingest path: ingest units load raw frames into pooled
 //!   slots (the software RX-ring), parse them in place with
 //!   [`smartwatch_net::FrameView`] and recycle the slots —
 //!   allocation-free in steady state.
@@ -26,31 +26,27 @@
 //!   [`TriageNf`] escalation triage.
 //! * [`shard`] — the per-thread worker: one FlowCache partition, one
 //!   detector suite, no cross-shard synchronisation on the packet path.
-//!   Ingest arrives over R lanes merged under a [`MergePolicy`].
+//!   In the pipeline, ingest arrives over one SPSC lane per shard.
 //! * [`engine`] — the [`Engine`] and its two thread topologies:
-//!   [`DatapathMode::Pipeline`], R RX-queue dispatchers
-//!   ([`EngineConfig::rx_queues`], the multi-queue NIC model) feeding
-//!   the shards over an R×N mesh of SPSC lanes, and
-//!   [`DatapathMode::Rtc`], C run-to-completion `sw-core-{i}` threads
-//!   that fuse ingest and shard (pre-split by `shard_for_digest`, zero
-//!   queue crossings on the fast path, optional
+//!   [`DatapathMode::Pipeline`], one dispatcher feeding the shards over
+//!   one SPSC lane each, and [`DatapathMode::Rtc`], C run-to-completion
+//!   `sw-core-{i}` threads that fuse ingest and shard — the multi-queue
+//!   NIC model, each core draining its own RSS sub-stream (pre-split by
+//!   `shard_for_digest`, zero queue crossings on the fast path, optional
 //!   [`EngineConfig::pin_cores`] CPU affinity). Both run one shared
 //!   ingest front end — burst digest, 256-packet checkpoint, pacing
 //!   ([`Pace`]), graceful drain, steering filter — and one run
 //!   skeleton that builds the merged [`EngineReport`]; decisions and
 //!   counters are identical across topologies for the same seed.
 //!
-//! Every RSS dispatcher uses the *symmetric* shard mapping
+//! Both topologies use the *symmetric* shard mapping
 //! [`smartwatch_net::hash::shard_for_digest`] over the dispatch-time
 //! digest, so both directions of a flow always land on the same shard
-//! and per-shard state needs no locks. The trace splits across the R
-//! queues by [`smartwatch_net::hash::queue_for_digest`] — a salted
-//! splitmix64 remix, flow-affine and statistically independent of the
-//! shard mapping.
+//! and per-shard state needs no locks.
 //!
 //! Telemetry flows through [`smartwatch_telemetry`]: per-shard counters
-//! (`runtime.shard.*{shard=N}`), per-queue dispatcher counters
-//! (`runtime.queue.*{queue=Q}`), queue-depth gauges, and aggregate
+//! (`runtime.shard.*{shard=N}`), per-ingest-unit counters
+//! (`runtime.queue.*{queue=Q}`: the dispatcher, or one per RTC core), queue-depth gauges, and aggregate
 //! per-stage latency histograms (`runtime.stage.*`). They are
 //! cumulative; the [`EngineReport`] is per run, assembled in one place
 //! from the same handles minus the run's start baselines. `run()`
@@ -92,5 +88,5 @@ pub use engine::{
 pub use escalate::{HostObs, HostPool, TriageNf};
 pub use frame::{FramePool, FrameSlot};
 pub use service::{AdminCmd, ServiceStats};
-pub use shard::{MergePolicy, ShardCounters, ShardStats};
+pub use shard::{ShardCounters, ShardStats};
 pub use smartwatch_control::{ControlConfig, ControlEvent, ControlReport, DecisionRecord};

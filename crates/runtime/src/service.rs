@@ -14,9 +14,10 @@
 //!
 //! Graceful drain works the same way from the other side: callers
 //! raise a flag ([`Engine::request_drain`](crate::Engine::request_drain));
-//! dispatchers observe it at their 256-packet checkpoints, stop
-//! offering, flush staged batches, and send the normal `Stop` markers
-//! so the mesh quiesces exactly as at end-of-trace — every counter
+//! ingest units observe it at their 256-packet checkpoints, stop
+//! offering, and flush or process their staged batches (the dispatcher
+//! then sends the normal `Stop` markers), so the engine quiesces
+//! exactly as at end-of-trace — every counter
 //! folded, every verdict published, the segment report conserved.
 //!
 //! [`SteeringSnapshot`]: smartwatch_control::SteeringSnapshot

@@ -1,18 +1,15 @@
 //! One worker shard: a pinned OS thread owning a FlowCache partition and
 //! a full per-shard detector suite.
 //!
-//! The RSS dispatchers guarantee that both directions of a flow land on
-//! the same shard (symmetric [`smartwatch_net::hash::shard_for`]), so a
+//! Ingest guarantees that both directions of a flow land on the same
+//! shard (symmetric [`smartwatch_net::hash::shard_for_digest`]), so a
 //! shard's FlowCache and detectors see a complete, self-contained slice
 //! of the traffic and never need cross-shard synchronisation on the
-//! packet path. With `rx_queues = R` the shard ingests from R bounded
-//! SPSC lanes — one per dispatcher — and merges them under a
-//! [`MergePolicy`]: round-robin over whole batches (`Fair`, the
-//! throughput discipline) or a per-packet k-way merge by global sequence
-//! number (`Ordered`, which reconstructs the exact single-queue
-//! processing order for deterministic replay). The only shared state is
-//! the escalation channel (bounded MPSC to the host pool) and the
-//! epoch-stamped control log, polled at batch boundaries.
+//! packet path. In the pipeline a shard drains one bounded SPSC lane
+//! from the single dispatcher (`ShardWorker::run`); a fused RTC core
+//! drives the same worker in place, with no lane at all. The only
+//! shared state is the escalation channel (bounded MPSC to the host
+//! pool) and the epoch-stamped control log, polled at batch boundaries.
 //!
 //! The packet path is built to do no per-packet expensive work beyond
 //! the pipeline itself: packets arrive pre-digested (canonical key +
@@ -33,7 +30,7 @@ use smartwatch_host::{HostNf, Verdict};
 use smartwatch_net::{AgingDigestSet, BuildDigestHasher, FlowHasher};
 use smartwatch_snic::{FlowCache, Outcome};
 use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Gauge, Histogram, Registry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -46,47 +43,11 @@ pub(crate) enum ShardMsg {
     Stop,
 }
 
-/// How a shard merges its R ingest lanes (one bounded SPSC ring per RX
-/// dispatcher) into a single processing stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergePolicy {
-    /// Round-robin over the lanes, one whole batch per open lane per
-    /// sweep, with the idle [`Backoff`] escalation only when *every*
-    /// lane came up empty. This is the throughput discipline: no lane
-    /// can starve the others, and no packet waits on an unrelated lane.
-    /// Cross-queue arrival order at the shard is scheduling-dependent.
-    Fair,
-    /// Per-packet k-way merge by [`DigestedPacket::seq`]: the shard
-    /// always processes the lowest-sequence packet available across all
-    /// lanes, reconstructing the exact order a single dispatcher would
-    /// have delivered — so per-shard state evolution (and therefore
-    /// [`crate::EngineReport::deterministic_summary`]) is byte-identical
-    /// for any `rx_queues`. While one open lane is empty the shard must
-    /// wait for it (the missing packet could sort first); other lanes
-    /// are drained into a local pending list meanwhile so their
-    /// producers never deadlock behind the stall. That local buffering
-    /// is unbounded by design — this is the deterministic-replay
-    /// discipline, not the perf one.
-    Ordered,
-}
-
-/// One ingest lane as seen from the shard: the consumer half of a
-/// dispatcher's SPSC ring plus the return path into *that* dispatcher's
-/// buffer pool (pools are per-queue because a pool's receiver is
-/// single-consumer).
+/// The shard's ingest lane: the consumer half of its SPSC ring from the
+/// dispatcher plus the return path into the dispatcher's buffer pool.
 pub(crate) struct LaneRx {
     pub rx: crate::spsc::Consumer<ShardMsg>,
     pub recycle: RecycleSender,
-}
-
-/// Per-lane state for the ordered merge: the batch currently being
-/// consumed (with a cursor), batches drained early while waiting on a
-/// different lane, and whether the lane's Stop marker has been seen.
-struct OrderedLane {
-    lane: LaneRx,
-    cur: Option<(Vec<DigestedPacket>, usize)>,
-    pending: VecDeque<Vec<DigestedPacket>>,
-    open: bool,
 }
 
 /// The shard side of an attached control plane: the live mode cell the
@@ -386,15 +347,9 @@ pub(crate) struct ShardWorker {
     /// Escalations handled inline count into the same pool counter.
     pub host_processed: Counter,
     pub enforce_verdicts: bool,
-    /// Same seed as the dispatchers and the cache — verdict keys (the
+    /// Same seed as ingest and the cache — verdict keys (the
     /// only un-digested keys a shard sees) digest through this.
     hasher: FlowHasher,
-    /// How the R ingest lanes interleave into one processing stream.
-    merge: MergePolicy,
-    /// Packets per control-tick group under the ordered merge (the
-    /// engine's batch size, so tick boundaries match the single-queue
-    /// dispatcher's batch boundaries exactly).
-    group: usize,
     /// FlowCache software-pipeline depth: rows for up to this many
     /// packets are prefetched ahead of their probes. `<= 1` disables the
     /// prefetch stage (the per-packet reference path); either way the
@@ -447,8 +402,6 @@ impl ShardWorker {
         host_processed: Counter,
         enforce_verdicts: bool,
         hasher: FlowHasher,
-        merge: MergePolicy,
-        group: usize,
         burst: usize,
         hooks: Option<ControlHooks>,
         obs: ShardObs,
@@ -465,8 +418,6 @@ impl ShardWorker {
             host_processed,
             enforce_verdicts,
             hasher,
-            merge,
-            group: group.max(1),
             burst,
             probe_hist: [0; PROBE_HIST_SLOTS],
             cache_mix: CacheMix::default(),
@@ -486,193 +437,41 @@ impl ShardWorker {
         }
     }
 
-    /// Consume batches from the R ingest lanes until every lane's Stop
-    /// marker arrives, then final-sweep and exit. Returns the end state
-    /// plus the FlowCache itself, so the engine can carry flow state
-    /// across serve-mode segment restarts.
-    pub(crate) fn run(self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowCache) {
-        match self.merge {
-            MergePolicy::Fair => self.run_fair(lanes),
-            MergePolicy::Ordered => self.run_ordered(lanes),
-        }
-    }
-
-    /// Fair merge: sweep the open lanes round-robin (rotating the start
-    /// index so no lane gets structural priority), at most one batch per
-    /// lane per sweep. The idle backoff escalates only when a full sweep
-    /// found *every* lane empty — a shard with any lane delivering never
-    /// parks.
-    fn run_fair(mut self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowCache) {
-        let r = lanes.len();
-        let mut open = vec![true; r];
-        let mut live = r;
-        let mut next = 0usize;
+    /// Consume batches from the shard's ingest lane until its Stop
+    /// marker arrives, then final-sweep and exit. An empty lane goes to
+    /// the idle [`Backoff`] ladder, so a shard starved at a low offered
+    /// rate stops burning its core. Returns the end state plus the
+    /// FlowCache itself, so the engine can carry flow state across
+    /// serve-mode segment restarts.
+    pub(crate) fn run(mut self, lane: LaneRx) -> (ShardEndState, FlowCache) {
         let mut backoff = Backoff::new();
-        while live > 0 {
-            let mut progressed = false;
-            for k in 0..r {
-                let j = (next + k) % r;
-                if !open[j] {
-                    continue;
-                }
-                match lanes[j].rx.try_pop() {
-                    Some(ShardMsg::Batch(batch)) => {
-                        progressed = true;
-                        // One sampling decision covers the batch's lane
-                        // wait and its processing span.
-                        let sampled = self.receive(&batch);
-                        self.control_tick();
-                        let t0 = sampled.then(Instant::now);
-                        self.process_batch(&batch.pkts);
-                        if let (Some(t0), Some(tt)) = (t0, &self.obs.trace) {
-                            tt.span_since(t0, "shard process", "shard");
-                        }
-                        self.flush_local();
-                        lanes[j].recycle.give_back(batch.pkts);
-                    }
-                    Some(ShardMsg::Stop) => {
-                        progressed = true;
-                        open[j] = false;
-                        live -= 1;
-                    }
-                    None => {}
-                }
-            }
-            next = (next + 1) % r;
-            if progressed {
-                backoff.reset();
-            } else if backoff.idle() {
-                // Bounded exponential backoff: spin → yield → short
-                // park, so idle shards (paced low-rate runs) stop
-                // burning a full core while staying quick to wake.
-                self.counters.idle_parks.inc();
-            }
-        }
-        self.finish()
-    }
-
-    /// Ordered merge: always process the lowest-sequence packet available
-    /// across the lanes, grouping control ticks / counter flushes every
-    /// `group` merged packets — exactly the batch boundaries a single
-    /// dispatcher would have produced. When an open lane is empty the
-    /// merge must stall on it (its next packet could sort first); the
-    /// other lanes are drained into local pending lists meanwhile so
-    /// their producers never block behind the stall (which could
-    /// otherwise deadlock the mesh).
-    fn run_ordered(mut self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowCache) {
-        let mut lanes: Vec<OrderedLane> = lanes
-            .into_iter()
-            .map(|lane| OrderedLane {
-                lane,
-                cur: None,
-                pending: VecDeque::new(),
-                open: true,
-            })
-            .collect();
-        let mut backoff = Backoff::new();
-        let mut in_group = 0usize;
-        // Merged packets of the current group, processed together at the
-        // group boundary so the batched FlowCache path (prefetch bursts)
-        // applies here exactly as on the Fair path. Deferring processing
-        // to the boundary changes nothing observable: merging only copies
-        // packets, and control ticks / flushes already sit at group
-        // boundaries.
-        let mut group_buf: Vec<DigestedPacket> = Vec::with_capacity(self.group);
-        // Whether the current merged group is trace-sampled; groups are
-        // the ordered merge's batch-granularity unit.
-        let mut group_sampled = false;
         loop {
-            // Refill: every lane that can have a head batch gets one,
-            // from its pending list first (arrival order), then its ring.
-            let mut progressed = false;
-            for l in lanes.iter_mut() {
-                if l.cur.is_some() {
-                    continue;
-                }
-                if let Some(buf) = l.pending.pop_front() {
-                    l.cur = Some((buf, 0));
-                } else if l.open {
-                    match l.lane.rx.try_pop() {
-                        Some(ShardMsg::Batch(batch)) => {
-                            progressed = true;
-                            self.receive(&batch);
-                            l.cur = Some((batch.pkts, 0));
-                        }
-                        Some(ShardMsg::Stop) => {
-                            progressed = true;
-                            l.open = false;
-                        }
-                        None => {}
-                    }
-                }
-            }
-            if lanes.iter().any(|l| l.open && l.cur.is_none()) {
-                // A live lane has nothing to offer: its next packet may
-                // sort before everything in hand, so the merge waits —
-                // but keeps the other producers moving by draining their
-                // rings locally.
-                for l in lanes.iter_mut() {
-                    if !l.open || l.cur.is_none() {
-                        continue;
-                    }
-                    while let Some(msg) = l.lane.rx.try_pop() {
-                        match msg {
-                            ShardMsg::Batch(batch) => {
-                                progressed = true;
-                                self.receive(&batch);
-                                l.pending.push_back(batch.pkts);
-                            }
-                            ShardMsg::Stop => {
-                                progressed = true;
-                                l.open = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if progressed {
+            match lane.rx.try_pop() {
+                Some(ShardMsg::Batch(batch)) => {
                     backoff.reset();
-                } else if backoff.idle() {
-                    self.counters.idle_parks.inc();
+                    // One sampling decision covers the batch's lane wait
+                    // and its processing span.
+                    let sampled = self.receive(&batch);
+                    self.control_tick();
+                    let t0 = sampled.then(Instant::now);
+                    self.process_batch(&batch.pkts);
+                    if let (Some(t0), Some(tt)) = (t0, &self.obs.trace) {
+                        tt.span_since(t0, "shard process", "shard");
+                    }
+                    self.flush_local();
+                    lane.recycle.give_back(batch.pkts);
                 }
-                continue;
-            }
-            // Every lane is either closed-and-drained or has a head
-            // batch: pick the lane whose head packet sorts first.
-            let Some(j) = lanes
-                .iter()
-                .enumerate()
-                .filter_map(|(j, l)| l.cur.as_ref().map(|(buf, c)| (j, buf[*c].seq)))
-                .min_by_key(|&(_, seq)| seq)
-                .map(|(j, _)| j)
-            else {
-                break; // all lanes closed and fully drained
-            };
-            backoff.reset();
-            if in_group == 0 {
-                self.control_tick();
-                group_sampled = self.obs.trace.as_mut().is_some_and(ThreadTrace::tick);
-            }
-            let (buf, cursor) = lanes[j].cur.as_mut().expect("selected lane has a head");
-            let dp = buf[*cursor];
-            *cursor += 1;
-            let exhausted = *cursor == buf.len();
-            group_buf.push(dp);
-            in_group += 1;
-            if in_group == self.group {
-                self.process_group(&group_buf, group_sampled);
-                group_buf.clear();
-                in_group = 0;
-            }
-            if exhausted {
-                let (buf, _) = lanes[j].cur.take().expect("head still present");
-                lanes[j].lane.recycle.give_back(buf);
+                Some(ShardMsg::Stop) => return self.finish(),
+                None => {
+                    // Bounded exponential backoff: spin → yield → short
+                    // park, so idle shards (paced low-rate runs) stop
+                    // burning a full core while staying quick to wake.
+                    if backoff.idle() {
+                        self.counters.idle_parks.inc();
+                    }
+                }
             }
         }
-        if in_group > 0 {
-            self.process_group(&group_buf, group_sampled);
-        }
-        self.finish()
     }
 
     /// Book one batch taken off a lane: its queue wait and size into the
@@ -689,17 +488,6 @@ impl ShardWorker {
             }
         }
         sampled
-    }
-
-    /// Process one merged group: the ordered-path analogue of a Fair
-    /// batch (timed span, batched cache path, counter flush).
-    fn process_group(&mut self, pkts: &[DigestedPacket], sampled: bool) {
-        let t0 = sampled.then(Instant::now);
-        self.process_batch(pkts);
-        if let (Some(t0), Some(tt)) = (t0, &self.obs.trace) {
-            tt.span_since(t0, "shard process", "shard");
-        }
-        self.flush_local();
     }
 
     /// Stop-marker tail: apply the last verdicts, flush heavy-hitter
@@ -1007,8 +795,6 @@ mod tests {
             Counter::detached(),
             true,
             hasher,
-            MergePolicy::Fair,
-            64,
             8,
             None,
             ShardObs {
@@ -1030,12 +816,7 @@ mod tests {
                 );
                 let pkt = PacketBuilder::new(key, Ts::from_nanos(u64::from(i))).build();
                 let (canon, digest) = hasher.digest_symmetric(&key);
-                DigestedPacket {
-                    pkt,
-                    canon,
-                    digest,
-                    seq: u64::from(i),
-                }
+                DigestedPacket { pkt, canon, digest }
             })
             .collect();
         worker.process_batch(&batch);

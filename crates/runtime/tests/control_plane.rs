@@ -153,41 +153,50 @@ fn controlled_spike_conserves_and_recovers() {
 
 #[test]
 fn controlled_spike_is_safe_at_every_queue_count() {
-    // The same spike drive with the dispatcher fanned out over R RX
-    // queues: every queue paces its sub-stream against the *global*
-    // arrival schedule, so the controller sees the same offered-rate
-    // shape and the safety invariants must hold unchanged. (Whether
-    // shedding engages depends on wall-clock scheduling headroom, so —
-    // unlike the R=1 test above — this sweep asserts the invariants,
-    // not the overload response itself.)
-    for rx in [1usize, 2, 4] {
-        let mut cfg = EngineConfig::new(2).with_control(test_control());
-        cfg.rx_queues = rx;
-        let report = Engine::new(cfg).run(&workload(100_000), spike());
+    // The same spike drive over one pipeline dispatcher and over two
+    // and four RTC cores, each core pacing its own sub-stream against
+    // the *global* arrival schedule, so the controller sees the same
+    // offered-rate shape and the safety invariants must hold unchanged.
+    // (Whether shedding engages depends on wall-clock scheduling
+    // headroom, so this sweep asserts the invariants, not the overload
+    // response itself.)
+    for (datapath, units) in [
+        (DatapathMode::Pipeline, 1usize),
+        (DatapathMode::Rtc, 2),
+        (DatapathMode::Rtc, 4),
+    ] {
+        let (mut cfg, pace, packets) = spike_drive(datapath);
+        if datapath == DatapathMode::Rtc {
+            cfg.shards = units;
+        }
+        let report = Engine::new(cfg).run(&workload(packets), pace);
         assert!(
             report.conserved(),
-            "rx={rx}: conservation violated:\n{:?}\n{:?}",
+            "{datapath:?}×{units}: conservation violated:\n{:?}\n{:?}",
             report.shards,
             report.queues
         );
-        assert_eq!(report.rx_queues(), rx);
+        assert_eq!(report.queues.len(), units);
         let ctrl = report.control.as_ref().expect("controller ran");
-        assert!(ctrl.epochs > 10, "rx={rx}: 2 ms epochs over a ≥200 ms run");
+        assert!(
+            ctrl.epochs > 10,
+            "{datapath:?}×{units}: epochs over a ≥200 ms run"
+        );
         assert!(
             ctrl.final_modes.iter().all(|&m| m == Mode::General),
-            "rx={rx}: calm tail must recover General, got {:?}",
+            "{datapath:?}×{units}: calm tail must recover General, got {:?}",
             ctrl.final_modes
         );
         assert!(
             !ctrl.shed_active,
-            "rx={rx}: shedding must release after the spike"
+            "{datapath:?}×{units}: shedding must release after the spike"
         );
         assert_eq!(
             ctrl.shed_packets,
             report.shed(),
-            "rx={rx}: controller's shed accounting must match the shards"
+            "{datapath:?}×{units}: controller's shed accounting must match the shards"
         );
-        // Steering + shedding drops are enforced per dispatcher; their
+        // Steering + shedding drops are enforced per ingest unit; their
         // per-queue tallies must sum to the report aggregates.
         let q_shed: u64 = report.queues.iter().map(|q| q.shed).sum();
         let q_steer: u64 = report.queues.iter().map(|q| q.steer_dropped).sum();

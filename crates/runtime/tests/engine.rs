@@ -1,9 +1,9 @@
-//! Engine invariants: conservation under every shard count, RX-queue
+//! Engine invariants: conservation under every shard count, ingest-unit
 //! count and pacing mode, and bit-exact determinism in single-shard
-//! inline mode — including byte-identical summaries across `rx_queues`.
+//! inline mode on both datapaths.
 
 use smartwatch_net::Dur;
-use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, MergePolicy, Pace};
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, Pace};
 use smartwatch_trace::background::{preset_trace, Preset};
 
 fn workload(flows: usize, seed: u64) -> Vec<smartwatch_net::Packet> {
@@ -12,7 +12,7 @@ fn workload(flows: usize, seed: u64) -> Vec<smartwatch_net::Packet> {
 
 /// CAIDA background interleaved with an SSH brute-force sweep, so runs
 /// exercise escalation, triage verdicts and enforced blacklist drops —
-/// the paths that would expose a merge-order dependence.
+/// the paths that would expose a processing-order dependence.
 fn hostile_workload(total: usize) -> Vec<smartwatch_net::Packet> {
     use smartwatch_net::{FlowKey, PacketBuilder};
     use std::net::Ipv4Addr;
@@ -101,76 +101,62 @@ fn single_shard_inline_mode_is_deterministic() {
 
 #[test]
 fn conservation_flatout_across_queue_counts() {
+    // Multi-queue ingest is the RTC datapath: C fused cores, each
+    // draining its own RSS sub-stream, so the queue axis has C units.
     let packets = workload(400, 7);
-    for rx in [1usize, 2, 4] {
-        for shards in [1usize, 2] {
-            let mut cfg = EngineConfig::new(shards);
-            cfg.rx_queues = rx;
-            cfg.host_workers = 1;
-            let report = Engine::new(cfg).run(&packets, Pace::Flatout);
+    for cores in [1usize, 2, 4] {
+        let mut cfg = EngineConfig::new(cores);
+        cfg.datapath = DatapathMode::Rtc;
+        cfg.host_workers = 1;
+        let report = Engine::new(cfg).run(&packets, Pace::Flatout);
+        assert!(
+            report.conserved(),
+            "conservation violated at cores={cores}:\n{}",
+            report.deterministic_summary()
+        );
+        assert_eq!(report.queues.len(), cores);
+        assert_eq!(report.offered, packets.len() as u64);
+        assert_eq!(report.processed(), report.offered);
+        let per_queue_offered: u64 = report.queues.iter().map(|q| q.offered).sum();
+        assert_eq!(per_queue_offered, report.offered);
+        if cores > 1 {
             assert!(
-                report.conserved(),
-                "conservation violated at rx={rx} shards={shards}:\n{}",
-                report.deterministic_summary()
+                report.queues.iter().all(|q| q.offered > 0),
+                "the RSS split must feed every core"
             );
-            assert_eq!(report.rx_queues(), rx);
-            assert_eq!(report.offered, packets.len() as u64);
-            assert_eq!(report.processed(), report.offered);
-            let per_queue_offered: u64 = report.queues.iter().map(|q| q.offered).sum();
-            assert_eq!(per_queue_offered, report.offered);
-            if rx > 1 {
-                assert!(
-                    report.queues.iter().all(|q| q.offered > 0),
-                    "the salted RSS split must feed every queue"
-                );
-            }
         }
     }
 }
 
 #[test]
 fn conservation_holds_under_forced_drops_multi_queue() {
+    // A 1-batch lane per shard and an absurd offered rate overrun the
+    // pipeline; the per-queue books must carry every drop. The same
+    // rate on four RTC cores cannot overrun (a fused core has no lane,
+    // so it self-backpressures), and its four per-queue books must
+    // still balance.
     let packets = workload(400, 11);
-    let mut cfg = EngineConfig::new(2);
-    cfg.rx_queues = 4;
-    cfg.queue_batches = 1;
-    cfg.batch = 32;
-    let report = Engine::new(cfg).run(&packets, Pace::RateMpps(10_000.0));
-    assert!(
-        report.conserved(),
-        "per-queue drops must still be accounted:\n{}",
-        report.deterministic_summary()
-    );
-    assert!(report.ingest_dropped() > 0, "sized to overrun");
-    let per_queue_drops: u64 = report.queues.iter().map(|q| q.ingest_dropped).sum();
-    assert_eq!(per_queue_drops, report.ingest_dropped());
-}
-
-#[test]
-fn deterministic_summary_is_byte_identical_across_rx_queues() {
-    // Satellite regression: the canonical merge of per-queue counters
-    // must make R invisible in the summary. Ordered merge + one shard +
-    // inline triage reproduces the exact R=1 processing order, so every
-    // counter — including order-sensitive ones like verdict drops and
-    // sampled latencies — lands on the same value.
-    let packets = hostile_workload(6_000);
-    let run = |rx: usize| {
-        let mut cfg = EngineConfig::deterministic(rx);
-        cfg.triage_threshold = 8;
-        Engine::new(cfg)
-            .run(&packets, Pace::Flatout)
-            .deterministic_summary()
-    };
-    let base = run(1);
-    assert!(base.contains("verdicts="), "summary must be non-trivial");
-    for rx in [2usize, 4] {
-        assert_eq!(
-            base,
-            run(rx),
-            "summary for rx_queues={rx} diverged from single-queue"
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
+        let mut cfg = EngineConfig::new(4);
+        cfg.datapath = datapath;
+        cfg.queue_batches = 1;
+        cfg.batch = 32;
+        let report = Engine::new(cfg).run(&packets, Pace::RateMpps(10_000.0));
+        assert!(
+            report.conserved(),
+            "{datapath:?}: per-queue drops must still be accounted:\n{}",
+            report.deterministic_summary()
         );
+        let per_queue_drops: u64 = report.queues.iter().map(|q| q.ingest_dropped).sum();
+        assert_eq!(per_queue_drops, report.ingest_dropped());
+        match datapath {
+            DatapathMode::Pipeline => assert!(report.ingest_dropped() > 0, "sized to overrun"),
+            DatapathMode::Rtc => {
+                assert_eq!(report.queues.len(), 4);
+                assert_eq!(report.ingest_dropped(), 0, "a fused core never overruns");
+            }
+        }
     }
-    assert_eq!(run(4), run(4), "multi-queue replay is run-to-run stable");
 }
 
 #[test]
@@ -179,25 +165,20 @@ fn batched_cache_path_is_byte_identical_to_per_packet() {
     // prefetch + staged probes) must change *nothing* about decisions.
     // The hostile workload drives escalation, pinning, triage verdicts
     // and enforced drops — the order-sensitive paths a batching bug
-    // would perturb. Matrix: both merge policies and a multi-queue
-    // ordered run, each at per-packet (1), default (8) and wide (16)
-    // burst settings.
+    // would perturb. Matrix: both datapaths, each at per-packet (1),
+    // default (8) and wide (16) burst settings.
     let packets = hostile_workload(6_000);
-    let run = |rx: usize, merge: MergePolicy, burst: usize| {
-        let mut cfg = EngineConfig::deterministic(rx);
-        cfg.merge = merge;
+    let run = |datapath: DatapathMode, burst: usize| {
+        let mut cfg = EngineConfig::deterministic();
+        cfg.datapath = datapath;
         cfg.triage_threshold = 8;
         cfg.cache_burst = burst;
         Engine::new(cfg)
             .run(&packets, Pace::Flatout)
             .deterministic_summary()
     };
-    for (rx, merge) in [
-        (1usize, MergePolicy::Fair),
-        (1, MergePolicy::Ordered),
-        (2, MergePolicy::Ordered),
-    ] {
-        let per_packet = run(rx, merge, 1);
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
+        let per_packet = run(datapath, 1);
         assert!(
             per_packet.contains("verdicts="),
             "summary must be non-trivial"
@@ -205,8 +186,8 @@ fn batched_cache_path_is_byte_identical_to_per_packet() {
         for burst in [8usize, 16] {
             assert_eq!(
                 per_packet,
-                run(rx, merge, burst),
-                "burst={burst} diverged from per-packet at rx={rx} merge={merge:?}"
+                run(datapath, burst),
+                "burst={burst} diverged from per-packet on {datapath:?}"
             );
         }
     }

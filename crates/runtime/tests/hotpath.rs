@@ -16,7 +16,7 @@
 use smartwatch_core::{DetectorSuite, HostNeed};
 use smartwatch_host::{HostNf, Verdict};
 use smartwatch_net::{Dur, FlowKey, Packet, PacketBuilder, Ts};
-use smartwatch_runtime::{Engine, EngineConfig, EngineReport, MergePolicy, Pace, TriageNf};
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, EngineReport, Pace, TriageNf};
 use smartwatch_snic::{FlowCache, FlowCacheConfig};
 use smartwatch_telemetry::Registry;
 use smartwatch_trace::background::{preset_trace, Preset};
@@ -244,47 +244,12 @@ fn paced_mode_matches_ground_truth_when_drop_free() {
 }
 
 #[test]
-fn multi_queue_ordered_merge_matches_ground_truth() {
-    // The R×N mesh with MergePolicy::Ordered must be *invisible*: every
-    // counter equals the scalar reference, at every queue count, in
-    // every pacing mode (provided the paced runs are drop-free).
-    let packets = workload(12_000);
-    let cfg = deterministic_cfg(64);
-    let truth = reference_run(&packets, &cfg);
-    let paces = [
-        Pace::Flatout,
-        Pace::RateMpps(1.0),
-        Pace::Spike {
-            base_mpps: 1.0,
-            peak_mpps: 4.0,
-            spike_start: 0.25,
-            spike_end: 0.75,
-        },
-    ];
-    for rx in [2usize, 4] {
-        for pace in paces {
-            let mut cfg = deterministic_cfg(64);
-            cfg.rx_queues = rx;
-            cfg.merge = MergePolicy::Ordered;
-            let report = Engine::new(cfg).run(&packets, pace);
-            assert!(report.conserved());
-            assert_eq!(report.rx_queues(), rx);
-            assert_eq!(report.ingest_dropped(), 0, "sized to be drop-free");
-            assert_eq!(
-                observed(&report),
-                truth,
-                "rx={rx} {pace:?}: ordered merge diverged from ground truth\n{}",
-                report.deterministic_summary()
-            );
-        }
-    }
-}
-
-#[test]
 fn multi_queue_fair_merge_conserves_across_pacing_modes() {
-    // Fair merge reorders across queues (throughput mode), so exact
-    // counter equality is out of scope — but conservation and full
-    // processing must hold at every (rx, pace) point.
+    // Multi-queue ingest runs on RTC cores, each draining its own RSS
+    // sub-stream against the global arrival schedule. Exact counter
+    // equality with the single-shard reference is out of scope at C > 1
+    // (the state is partitioned), but conservation and full processing
+    // must hold at every (cores, pace) point.
     let packets = workload(12_000);
     let paces = [
         Pace::Flatout,
@@ -296,18 +261,17 @@ fn multi_queue_fair_merge_conserves_across_pacing_modes() {
             spike_end: 0.75,
         },
     ];
-    for rx in [1usize, 2, 4] {
+    for cores in [1usize, 2, 4] {
         for pace in paces {
-            let mut cfg = EngineConfig::new(2);
-            cfg.rx_queues = rx;
-            cfg.queue_batches = 1024; // drop-free by construction
+            let mut cfg = EngineConfig::new(cores);
+            cfg.datapath = DatapathMode::Rtc;
             let report = Engine::new(cfg).run(&packets, pace);
             assert!(
                 report.conserved(),
-                "rx={rx} {pace:?}:\n{}",
+                "cores={cores} {pace:?}:\n{}",
                 report.deterministic_summary()
             );
-            assert_eq!(report.rx_queues(), rx);
+            assert_eq!(report.queues.len(), cores);
             assert_eq!(report.processed(), report.offered);
         }
     }
@@ -315,39 +279,46 @@ fn multi_queue_fair_merge_conserves_across_pacing_modes() {
 
 #[test]
 fn buffer_pool_allocations_are_bounded_and_packet_independent() {
-    // Runs 8× apart in offered packets, at one and two RX queues:
-    // allocations stay under the pool capacity every time — the steady
-    // state recycles, never grows.
+    // Runs 8× apart in offered packets, on the pipeline and on two RTC
+    // cores: allocations stay under the pool capacity every time — the
+    // steady state recycles (or, fused, reuses one staging buffer per
+    // core), never grows.
     let mut allocated = Vec::new();
-    for (rx, packets) in [
-        (1usize, 25_000usize),
-        (1, 200_000),
-        (2, 25_000),
-        (2, 200_000),
+    for (datapath, packets) in [
+        (DatapathMode::Pipeline, 25_000usize),
+        (DatapathMode::Pipeline, 200_000),
+        (DatapathMode::Rtc, 25_000),
+        (DatapathMode::Rtc, 200_000),
     ] {
         let reg = Registry::new();
         let mut cfg = EngineConfig::new(2);
-        cfg.rx_queues = rx;
-        // Steady-state live buffers, per queue: a full lane per shard
-        // plus one in the shard's hands plus one in the dispatcher's. A
-        // shard racing a momentarily-full recycle channel can drop a
-        // buffer (and force one later re-allocation), so allow that
-        // transient per lane.
-        let cap = (rx * cfg.shards * (cfg.queue_batches + 2) + rx * cfg.shards) as u64;
+        cfg.datapath = datapath;
+        let cap = match datapath {
+            // Steady-state live buffers: a full lane per shard plus one
+            // in the shard's hands plus one in the dispatcher's. A
+            // shard racing a momentarily-full recycle channel can drop a
+            // buffer (and force one later re-allocation), so allow that
+            // transient per lane.
+            DatapathMode::Pipeline => (cfg.shards * (cfg.queue_batches + 2) + cfg.shards) as u64,
+            // A fused core stages into one buffer for the whole run.
+            DatapathMode::Rtc => cfg.shards as u64,
+        };
         let report = Engine::with_registry(cfg, &reg).run(&workload(packets), Pace::Flatout);
         assert!(report.conserved());
         let allocs = reg.counter("runtime.pool.allocated", &[]).get();
         let recycles = reg.counter("runtime.pool.recycled", &[]).get();
         assert!(
             allocs <= cap,
-            "rx={rx} {packets} pkts: {allocs} allocations exceed pool capacity {cap}"
+            "{datapath:?} {packets} pkts: {allocs} allocations exceed pool capacity {cap}"
         );
-        // On the long runs the warm-up is amortised away and recycling
-        // must dominate; the short runs only pin the capacity bound.
-        if packets > 100_000 {
+        // On the long pipeline run the warm-up is amortised away and
+        // recycling must dominate; the short runs only pin the capacity
+        // bound. Fused cores hand no buffer across threads, so they
+        // have nothing to recycle.
+        if datapath == DatapathMode::Pipeline && packets > 100_000 {
             assert!(
                 recycles > allocs,
-                "rx={rx} {packets} pkts: steady state must be recycle-dominated \
+                "{datapath:?} {packets} pkts: steady state must be recycle-dominated \
                  ({recycles} recycled vs {allocs} allocated)"
             );
         }

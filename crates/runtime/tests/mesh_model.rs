@@ -1,28 +1,30 @@
-//! Model-checking the SPSC lane discipline under R×N mesh wiring.
+//! Model-checking the SPSC lane discipline of the pipeline topology.
 //!
-//! The engine's mesh keeps each [`smartwatch_runtime::spsc`] ring
-//! strictly single-producer/single-consumer: producer = one RX-queue
-//! dispatcher, consumer = one shard fair-merging its R lanes, plus a
-//! recycle return path back to the producing queue's pool. `loom` is
-//! not available in this workspace, so this test does the next best
-//! thing: it *exhaustively enumerates interleavings* of the actors'
-//! productive steps with a DFS, replaying every schedule from scratch
-//! on real rings (capacity 1, the most adversarial legal size).
+//! The pipeline keeps each [`smartwatch_runtime::spsc`] ring strictly
+//! single-producer/single-consumer: one dispatcher produces into N
+//! lanes (one per shard), each lane has exactly one consumer (its
+//! shard), and every drained batch buffer returns to the dispatcher's
+//! one pool. `loom` is not available in this workspace, so this test
+//! does the next best thing: it *exhaustively enumerates interleavings*
+//! of the actors' productive steps with a DFS, replaying every schedule
+//! from scratch on real rings (capacity 1, the most adversarial legal
+//! size).
 //!
 //! Checked on every complete schedule:
 //!
-//! * exactly-once delivery — each batch pushed by each producer is
-//!   consumed exactly once;
+//! * exactly-once delivery — each batch the dispatcher pushes is
+//!   consumed exactly once, by the shard it was pushed to;
 //! * per-lane FIFO — a lane's batches arrive in push order, and its
 //!   `Stop` marker arrives after all of its batches (drain-on-shutdown:
-//!   the consumer never abandons queued work when a producer stops);
+//!   a shard never abandons queued work when the dispatcher stops);
 //! * recycler return path — every consumed batch buffer is returned to
-//!   the pool of the queue that sent it;
+//!   the dispatcher's one pool;
 //! * no deadlock — from any reachable state, some actor can step until
 //!   all are done.
 //!
-//! Steps are *productive by construction*: a producer only steps when
-//! its ring has room, the consumer only steps when an open lane has a
+//! Steps are *productive by construction*: the dispatcher only steps
+//! when its next message's lane has room (the engine's flat-out push
+//! blocks on exactly that lane), a shard only steps when its lane has a
 //! message. That keeps the schedule space finite (blocked actors busy
 //! waiting would otherwise spin forever) while still covering every
 //! ordering of the operations that change shared state.
@@ -38,108 +40,85 @@ enum Msg {
     Stop,
 }
 
-/// One replayed mesh instance: R producers × 1 consumer (a single
-/// shard column of the mesh — rings are per (queue, shard) pair, so
-/// one column exercises the full lane discipline).
+/// The dispatcher's script: `(lane, message)` in push order. Every
+/// lane's `Stop` must come after its last batch, as the engine's
+/// end-of-stream flush sends them.
+type Script = Vec<(usize, Msg)>;
+
+/// One replayed pipeline instance: one dispatcher × N lanes × N shards.
 struct Model {
     producers: Vec<Producer<Msg>>,
     lanes: Vec<Consumer<Msg>>,
-    /// Per producer: scripted batches not yet pushed (front = next).
-    scripts: Vec<Vec<Vec<u32>>>,
-    /// Per producer: has the trailing `Stop` been pushed?
-    stopped: Vec<bool>,
-    /// Consumer fair-merge state: lane still open?
+    /// Dispatcher messages not yet pushed (front = next).
+    script: Script,
+    /// Per shard: lane still open?
     open: Vec<bool>,
-    /// Consumer fair-merge state: next lane to poll (rotates).
-    next_lane: usize,
-    /// Per lane: payloads delivered, in arrival order.
+    /// Per shard: payloads delivered, in arrival order.
     delivered: Vec<Vec<Vec<u32>>>,
-    /// Per lane: buffers handed back to that queue's recycle pool.
-    recycled: Vec<usize>,
+    /// The dispatcher's pool: buffers the shards handed back.
+    pool: Vec<Vec<u32>>,
 }
 
 impl Model {
-    fn new(scripts: &[Vec<Vec<u32>>], capacity: usize) -> Model {
-        let r = scripts.len();
-        let (producers, lanes): (Vec<_>, Vec<_>) = (0..r).map(|_| spsc::<Msg>(capacity)).unzip();
+    fn new(n: usize, script: &Script) -> Model {
+        let (producers, lanes): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| spsc::<Msg>(MODEL_CAPACITY)).unzip();
         Model {
             producers,
             lanes,
-            scripts: scripts.to_vec(),
-            stopped: vec![false; r],
-            open: vec![true; r],
-            next_lane: 0,
-            delivered: vec![Vec::new(); r],
-            recycled: vec![0; r],
+            script: script.clone(),
+            open: vec![true; n],
+            delivered: vec![Vec::new(); n],
+            pool: Vec::new(),
         }
     }
 
-    fn r(&self) -> usize {
-        self.producers.len()
+    fn n(&self) -> usize {
+        self.lanes.len()
     }
 
-    /// Can producer `p` make a productive step right now? (Script not
-    /// exhausted, and its ring is below capacity — `len()` is exact
-    /// here because replay is single-threaded.)
-    fn producer_ready(&self, p: usize) -> bool {
-        (!self.scripts[p].is_empty() || !self.stopped[p])
-            && self.producers[p].len() < MODEL_CAPACITY
+    /// Can the dispatcher make a productive step right now? (Script not
+    /// exhausted, and the next message's ring is below capacity —
+    /// `len()` is exact here because replay is single-threaded.)
+    fn dispatcher_ready(&self) -> bool {
+        self.script
+            .first()
+            .is_some_and(|&(lane, _)| self.producers[lane].len() < MODEL_CAPACITY)
     }
 
-    /// Can the consumer make a productive step (some open lane has a
+    /// Can shard `s` make a productive step (its open lane has a
     /// message waiting)?
-    fn consumer_ready(&self) -> bool {
-        (0..self.r()).any(|l| self.open[l] && !self.lanes[l].is_empty())
+    fn shard_ready(&self, s: usize) -> bool {
+        self.open[s] && !self.lanes[s].is_empty()
     }
 
-    /// Producer `p` pushes its next scripted message. Caller checked
+    /// The dispatcher pushes its next scripted message. Caller checked
     /// readiness, so `try_push` must succeed — a failure here would be
     /// an SPSC capacity-accounting bug.
-    fn step_producer(&mut self, p: usize) {
-        let msg =
-            if let Some(batch) = (!self.scripts[p].is_empty()).then(|| self.scripts[p].remove(0)) {
-                Msg::Batch(batch)
-            } else {
-                self.stopped[p] = true;
-                Msg::Stop
-            };
-        self.producers[p]
+    fn step_dispatcher(&mut self) {
+        let (lane, msg) = self.script.remove(0);
+        self.producers[lane]
             .try_push(msg)
             .expect("ring below capacity must accept a push");
     }
 
-    /// Consumer performs one fair-merge sweep step: starting from the
-    /// rotating cursor, pop the first available message — exactly what
-    /// `ShardWorker::run_fair` does per lane visit.
-    fn step_consumer(&mut self) {
-        let r = self.r();
-        for off in 0..r {
-            let l = (self.next_lane + off) % r;
-            if !self.open[l] {
-                continue;
+    /// Shard `s` pops one message — exactly what `ShardWorker::run`
+    /// does per loop turn that finds work.
+    fn step_shard(&mut self, s: usize) {
+        match self.lanes[s].try_pop() {
+            Some(Msg::Batch(payload)) => {
+                self.delivered[s].push(payload.clone());
+                // The drained buffer goes home to the dispatcher's pool
+                // (every lane's RecycleSender targets that one pool).
+                self.pool.push(payload);
             }
-            if let Some(msg) = self.lanes[l].try_pop() {
-                match msg {
-                    Msg::Batch(payload) => {
-                        self.delivered[l].push(payload);
-                        // Drained buffer goes back to the owning
-                        // queue's pool (the engine's RecycleSender
-                        // always targets the lane's queue).
-                        self.recycled[l] += 1;
-                    }
-                    Msg::Stop => self.open[l] = false,
-                }
-                self.next_lane = (l + 1) % r;
-                return;
-            }
+            Some(Msg::Stop) => self.open[s] = false,
+            None => unreachable!("shard stepped without a ready lane"),
         }
-        unreachable!("consumer stepped without a ready lane");
     }
 
     fn all_done(&self) -> bool {
-        self.scripts.iter().all(Vec::is_empty)
-            && self.stopped.iter().all(|&s| s)
-            && self.open.iter().all(|&o| !o)
+        self.script.is_empty() && self.open.iter().all(|&o| !o)
     }
 }
 
@@ -148,15 +127,18 @@ impl Model {
 /// transition, the regime where head/tail accounting bugs live.
 const MODEL_CAPACITY: usize = 1;
 
-/// Replay `schedule` (a sequence of actor ids; `r()` = consumer) from
-/// scratch and return the resulting model.
-fn replay(scripts: &[Vec<Vec<u32>>], schedule: &[usize]) -> Model {
-    let mut m = Model::new(scripts, MODEL_CAPACITY);
+/// Actor id of the dispatcher; shards are `0..n`.
+const DISPATCHER: usize = usize::MAX;
+
+/// Replay `schedule` (a sequence of actor ids) from scratch and return
+/// the resulting model.
+fn replay(n: usize, script: &Script, schedule: &[usize]) -> Model {
+    let mut m = Model::new(n, script);
     for &actor in schedule {
-        if actor == m.r() {
-            m.step_consumer();
+        if actor == DISPATCHER {
+            m.step_dispatcher();
         } else {
-            m.step_producer(actor);
+            m.step_shard(actor);
         }
     }
     m
@@ -164,103 +146,123 @@ fn replay(scripts: &[Vec<Vec<u32>>], schedule: &[usize]) -> Model {
 
 /// DFS over all interleavings of productive steps. Returns the number
 /// of complete schedules explored.
-fn explore(scripts: &[Vec<Vec<u32>>]) -> usize {
+fn explore(n: usize, script: &Script) -> usize {
     let mut schedule = Vec::new();
     let mut complete = 0usize;
-    dfs(scripts, &mut schedule, &mut complete);
+    dfs(n, script, &mut schedule, &mut complete);
     complete
 }
 
-fn dfs(scripts: &[Vec<Vec<u32>>], schedule: &mut Vec<usize>, complete: &mut usize) {
-    let m = replay(scripts, schedule);
-    let mut candidates = Vec::new();
-    for p in 0..m.r() {
-        if m.producer_ready(p) {
-            candidates.push(p);
-        }
-    }
-    if m.consumer_ready() {
-        candidates.push(m.r());
+fn dfs(n: usize, script: &Script, schedule: &mut Vec<usize>, complete: &mut usize) {
+    let m = replay(n, script, schedule);
+    let mut candidates: Vec<usize> = (0..m.n()).filter(|&s| m.shard_ready(s)).collect();
+    if m.dispatcher_ready() {
+        candidates.push(DISPATCHER);
     }
     if candidates.is_empty() {
         assert!(
             m.all_done(),
             "stall: no actor can step but work remains (schedule {schedule:?}, \
-             open={:?}, scripts left={:?})",
+             open={:?}, script left={:?})",
             m.open,
-            m.scripts
+            m.script
         );
-        verify_final(scripts, &m, schedule);
+        verify_final(script, &m, schedule);
         *complete += 1;
         return;
     }
     for actor in candidates {
         schedule.push(actor);
-        dfs(scripts, schedule, complete);
+        dfs(n, script, schedule, complete);
         schedule.pop();
     }
 }
 
 /// The invariants every complete schedule must satisfy.
-fn verify_final(scripts: &[Vec<Vec<u32>>], m: &Model, schedule: &[usize]) {
-    for (l, script) in scripts.iter().enumerate() {
-        // Exactly-once + per-lane FIFO: the consumer saw this lane's
+fn verify_final(script: &Script, m: &Model, schedule: &[usize]) {
+    for s in 0..m.n() {
+        // Exactly-once + per-lane FIFO: shard `s` saw its lane's
         // batches, all of them, in push order. Stop arrived last (the
         // lane closed only after the final delivery), so shutdown
         // drained rather than discarded.
+        let want: Vec<Vec<u32>> = script
+            .iter()
+            .filter_map(|(lane, msg)| match msg {
+                Msg::Batch(p) if *lane == s => Some(p.clone()),
+                _ => None,
+            })
+            .collect();
         assert_eq!(
-            m.delivered[l], *script,
-            "lane {l}: delivery diverged from script under schedule {schedule:?}"
+            m.delivered[s], want,
+            "lane {s}: delivery diverged from script under schedule {schedule:?}"
         );
-        assert_eq!(
-            m.recycled[l],
-            script.len(),
-            "lane {l}: every consumed buffer must return to its queue's pool"
-        );
-        assert!(!m.open[l], "lane {l}: Stop must close the lane");
+        assert!(!m.open[s], "lane {s}: Stop must close the lane");
         assert!(
-            m.lanes[l].is_empty(),
-            "lane {l}: nothing may remain queued after shutdown"
+            m.lanes[s].is_empty(),
+            "lane {s}: nothing may remain queued after shutdown"
         );
     }
+    // Every consumed buffer came home to the one pool, once.
+    let mut pooled = m.pool.clone();
+    let mut pushed: Vec<Vec<u32>> = script
+        .iter()
+        .filter_map(|(_, msg)| match msg {
+            Msg::Batch(p) => Some(p.clone()),
+            Msg::Stop => None,
+        })
+        .collect();
+    pooled.sort();
+    pushed.sort();
+    assert_eq!(
+        pooled, pushed,
+        "every consumed buffer must return to the dispatcher's pool"
+    );
+}
+
+/// Batches for each `(lane, payload)`, then one `Stop` per lane in lane
+/// order — the dispatcher's end-of-stream flush.
+fn script(n: usize, batches: &[(usize, &[u32])]) -> Script {
+    let mut out: Script = batches
+        .iter()
+        .map(|&(lane, p)| (lane, Msg::Batch(p.to_vec())))
+        .collect();
+    out.extend((0..n).map(|lane| (lane, Msg::Stop)));
+    out
 }
 
 #[test]
-fn two_producer_mesh_column_is_exhaustively_correct() {
-    // Two RX queues feeding one shard, two batches each plus Stop, over
-    // capacity-1 rings: every interleaving of pushes, pops and the
-    // rotating fair-merge cursor is explored.
-    let scripts = vec![
-        vec![vec![10, 11], vec![12], vec![13]],
-        vec![vec![20], vec![21, 22], vec![23]],
-    ];
-    let complete = explore(&scripts);
-    // 8 pushes + 8 pops interleave many ways; a lower bound on the
+fn two_lane_dispatcher_row_is_exhaustively_correct() {
+    // One dispatcher feeding two shards, two batches per lane plus a
+    // Stop each, over capacity-1 rings: every interleaving of the
+    // dispatcher's pushes with both shards' pops is explored.
+    let s = script(2, &[(0, &[10, 11]), (1, &[20]), (0, &[12]), (1, &[21, 22])]);
+    let complete = explore(2, &s);
+    // 6 pushes + 6 pops interleave many ways; a lower bound on the
     // count guards against a silent pruning bug faking coverage.
     assert!(
-        complete > 500,
+        complete > 50,
         "expected a non-trivial schedule space, explored {complete}"
     );
 }
 
 #[test]
-fn three_producer_mesh_column_drains_on_shutdown() {
-    // Three queues with asymmetric scripts — one queue stops having
-    // sent nothing, the adversarial shutdown case: the consumer must
-    // still drain the busy lanes and terminate.
-    let scripts = vec![vec![vec![1], vec![2]], vec![], vec![vec![3]]];
-    let complete = explore(&scripts);
+fn three_lane_dispatcher_row_drains_on_shutdown() {
+    // Three shards with asymmetric traffic — one lane carries nothing
+    // but its Stop, the adversarial shutdown case: every shard must
+    // still drain its lane and terminate.
+    let s = script(3, &[(0, &[1]), (2, &[3]), (0, &[2])]);
+    let complete = explore(3, &s);
     assert!(
-        complete > 100,
+        complete > 50,
         "expected a non-trivial schedule space, explored {complete}"
     );
 }
 
 #[test]
 fn single_lane_degenerates_to_plain_spsc() {
-    // R=1 is the pre-mesh engine: the model must reduce to an ordinary
-    // SPSC stream with nothing reordered.
-    let scripts = vec![vec![vec![1], vec![2], vec![3], vec![4]]];
-    let complete = explore(&scripts);
+    // One shard: the model must reduce to an ordinary SPSC stream with
+    // nothing reordered.
+    let s = script(1, &[(0, &[1]), (0, &[2]), (0, &[3]), (0, &[4])]);
+    let complete = explore(1, &s);
     assert!(complete > 0);
 }

@@ -42,8 +42,8 @@ fn hostile_workload(total: usize) -> Vec<smartwatch_net::Packet> {
 }
 
 /// A pipeline run and an RTC run of the same config over the same
-/// source: deterministic recipe (inline triage, single-queue mesh on
-/// the pipeline side) so the summaries are comparable byte-for-byte.
+/// source: inline triage, so the summaries are comparable
+/// byte-for-byte.
 fn run_both(
     shards: usize,
     cache_burst: usize,
@@ -53,7 +53,6 @@ fn run_both(
     smartwatch_runtime::EngineReport,
 ) {
     let mut cfg = EngineConfig::new(shards);
-    cfg.rx_queues = 1;
     cfg.host_workers = 0;
     cfg.cache_burst = cache_burst;
     let pipeline = run(&Engine::new(cfg.clone()));
@@ -164,7 +163,6 @@ fn rtc_matches_pipeline_under_hostile_traffic_and_verdicts() {
             r
         };
         let mut cfg = EngineConfig::new(shards);
-        cfg.rx_queues = 1;
         cfg.host_workers = 0;
         cfg.triage_threshold = 8;
         let pipeline = run(&Engine::new(cfg.clone()));
@@ -262,7 +260,6 @@ fn pinned_rtc_run_is_identical_to_unpinned() {
     // refused, decisions and counters cannot change.
     let trace = workload(200, 0x9191);
     let mut cfg = EngineConfig::new(2);
-    cfg.rx_queues = 1;
     cfg.host_workers = 0;
     cfg.datapath = DatapathMode::Rtc;
     let unpinned = Engine::new(cfg.clone()).run(trace.packets(), Pace::Flatout);

@@ -102,33 +102,42 @@ fn back_to_back_segments_conserve_with_flat_pool_counters() {
 fn wire_segments_keep_the_frame_pool_flat_across_restart() {
     let trace = preset_trace(Preset::Caida2018, 200, Dur::from_millis(500), 31);
     let store = compile_cycled(&trace, trace.len() * 2);
-    let registry = Registry::new();
-    let mut cfg = EngineConfig::new(2);
-    cfg.rx_queues = 2;
-    cfg.queue_batches = SHALLOW_LANES;
-    let engine = Engine::with_registry(cfg, &registry);
-    let frames = registry.counter("runtime.frame_pool.allocated", &[]);
-    let bufs = registry.counter("runtime.pool.allocated", &[]);
+    // Two RTC cores park two frame pools; each must get its own back.
+    for datapath in DATAPATHS {
+        let registry = Registry::new();
+        let mut cfg = EngineConfig::new(2);
+        cfg.datapath = datapath;
+        cfg.queue_batches = SHALLOW_LANES;
+        let engine = Engine::with_registry(cfg, &registry);
+        let frames = registry.counter("runtime.frame_pool.allocated", &[]);
+        let bufs = registry.counter("runtime.pool.allocated", &[]);
 
-    let first = engine.run_frames(&store, Pace::Flatout);
-    assert!(first.conserved(), "wire segment 1 violates conservation");
-    assert_eq!(first.offered, (trace.len() * 2) as u64);
-    let (frames_1, bufs_1) = (frames.get(), bufs.get());
-    assert!(frames_1 > 0, "the wire path must materialise frame slots");
+        let first = engine.run_frames(&store, Pace::Flatout);
+        assert!(
+            first.conserved(),
+            "{datapath:?}: wire segment 1 violates conservation"
+        );
+        assert_eq!(first.offered, (trace.len() * 2) as u64);
+        let (frames_1, bufs_1) = (frames.get(), bufs.get());
+        assert!(frames_1 > 0, "the wire path must materialise frame slots");
 
-    let second = engine.run_frames(&store, Pace::Flatout);
-    assert!(second.conserved(), "wire segment 2 violates conservation");
-    assert_eq!(second.offered, first.offered);
-    assert!(
-        frames.get() - frames_1 <= POOL_SLACK,
-        "frame pool grew {} slots across the restart",
-        frames.get() - frames_1
-    );
-    assert!(
-        bufs.get() - bufs_1 <= POOL_SLACK,
-        "batch pool grew {} buffers across the restart",
-        bufs.get() - bufs_1
-    );
+        let second = engine.run_frames(&store, Pace::Flatout);
+        assert!(
+            second.conserved(),
+            "{datapath:?}: wire segment 2 violates conservation"
+        );
+        assert_eq!(second.offered, first.offered);
+        assert!(
+            frames.get() - frames_1 <= POOL_SLACK,
+            "{datapath:?}: frame pool grew {} slots across the restart",
+            frames.get() - frames_1
+        );
+        assert!(
+            bufs.get() - bufs_1 <= POOL_SLACK,
+            "{datapath:?}: batch pool grew {} buffers across the restart",
+            bufs.get() - bufs_1
+        );
+    }
 }
 
 #[test]

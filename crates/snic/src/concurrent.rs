@@ -488,7 +488,11 @@ impl ConcRing {
 
     /// Records currently buffered.
     pub fn len(&self) -> usize {
-        (self.tail.load(Ordering::Acquire) - self.head.load(Ordering::Acquire)) as usize
+        // Head first: the consumer never moves head past tail and tail
+        // only grows, so a tail read after it cannot be behind it even
+        // while a concurrent pop advances head.
+        let head = self.head.load(Ordering::Acquire);
+        (self.tail.load(Ordering::Acquire) - head) as usize
     }
 
     /// True if no records are buffered.
